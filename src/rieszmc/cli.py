@@ -662,7 +662,9 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit status.
 
-    On failure a machine-readable error JSON is printed to stderr.
+    On failure a machine-readable error JSON is printed to stderr.  The
+    library's constructors reject out-of-range options with ValueError;
+    every option comes from the config, so those exit as config errors.
     """
     try:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -686,6 +688,11 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),
                           "exit_code": code}), file=sys.stderr)
         return code
+    except ValueError as exc:
+        print(json.dumps({"error": "ConfigError",
+                          "message": f"invalid configuration: {exc}",
+                          "exit_code": 2}), file=sys.stderr)
+        return 2
     except OSError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc),
                           "exit_code": 3}), file=sys.stderr)

@@ -237,8 +237,19 @@ def pair_log_energies(points_a: np.ndarray, kappas_a: np.ndarray,
     """
     a_pts = np.atleast_2d(np.asarray(points_a, dtype=float))
     b_pts = np.atleast_2d(np.asarray(points_b, dtype=float))
-    r = cdist(a_pts, b_pts)
-    bracket = p.alpha * np.outer(kappas_a, kappas_b) + p.beta * r
+    return log_pair_terms(cdist(a_pts, b_pts),
+                          np.outer(kappas_a, kappas_b), p)
+
+
+def log_pair_terms(r: np.ndarray, kappa_products: np.ndarray,
+                   p: RieszParams) -> tuple[np.ndarray, np.ndarray]:
+    """Log pair potentials from pair distances and kappa products.
+
+    Elementwise over arrays of one shape; returns the log energies and the
+    validity mask, with +inf where the distance is below eps_dist or the
+    bracket is non-positive.
+    """
+    bracket = p.alpha * kappa_products + p.beta * r
     valid = (r >= p.eps_dist) & (bracket > 0.0)
     safe_bracket = np.where(valid, bracket, 1.0)
     safe_r = np.where(valid, r, 1.0)

@@ -4,9 +4,23 @@ The generator places points one at a time: candidates are drawn uniformly
 over the oracle's box, scored by the incremental criterion
 sum_i w(x_i, c) / ||x_i - c||^s in the log domain, and the best candidate is
 screened by a distance/ratio acceptance rule before it joins the
-configuration.  Candidate scoring consumes no randomness, so it could be
-farmed out to parallel workers; the random stream is owned by the generation
-loop alone.
+configuration.  Candidate scoring consumes no randomness; the random stream
+is owned by the generation loop alone.
+
+Scoring is an exact branch-and-bound.  Each candidate is first scored
+against only the few points next to it in first-coordinate order.  Every
+pair term is a real log potential, so the log-sum-exp over any subset of a
+candidate's terms is at most the log-sum-exp over all of them: the window
+score is a lower bound on the full score, in any dimension and for any
+alpha, and an invalid pair in the window makes the candidate invalid.  The
+candidates with the smallest bounds are scored in full; the best of those
+is a threshold, and only candidates whose bound does not exceed it can be
+the argmin, so only those are scored in full as well.  At s = 40 the
+nearest neighbours dominate the potential, the bound is tight, and about
+one full row is scored per step instead of candidate_count rows.  Full
+scores come from the same row arithmetic as an unpruned pass, so the
+argmin, its score and every generated configuration are unchanged bit for
+bit.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from .energy import (
     DensityOracle,
     PointConfiguration,
     RieszParams,
+    log_pair_terms,
     min_separation,
     pair_log_energies,
 )
@@ -91,16 +106,55 @@ def initial_point(oracle: DensityOracle, grid_resolution: int = 1001) -> np.ndar
     return np.array([grid[int(np.argmax(partial))]])
 
 
+# Neighbours on each side of a candidate, in first-coordinate order, whose
+# pair terms make up the candidate's lower bound.
+_K = 2
+# Candidates with the smallest bounds whose full rows set the pruning
+# threshold.
+_N_THRESHOLD = 4
+# Bounds, threshold and full scores differ from exact arithmetic only by
+# rounding (log-sum-exps taken in different orders, distances recomputed);
+# the slack is orders of magnitude above that and only ever keeps more
+# candidates, so it costs time, never exactness.
+_PRUNE_SLACK = 1e-9
+
+
 def _score_candidates(points: np.ndarray, kappas: np.ndarray,
                       cands: np.ndarray, cand_kappas: np.ndarray,
-                      p: RieszParams) -> tuple[np.ndarray, np.ndarray]:
-    """Incremental log criterion per candidate and validity mask."""
-    log_e, valid = pair_log_energies(cands, cand_kappas, points, kappas, p)
+                      p: RieszParams) -> tuple[int, float]:
+    """Index and score of the first candidate with the smallest incremental
+    log criterion, or (-1, inf) when no candidate is valid.
+
+    Equal to the argmin of a full scoring of every candidate: candidates
+    whose window lower bound exceeds a threshold taken from full rows cannot
+    be the argmin and are never scored in full.
+    """
+    m, k = cands.shape[0], points.shape[0]
+    w = min(2 * _K, k)
+    order = np.argsort(points[:, 0])
+    pos = np.searchsorted(points[order, 0], cands[:, 0])
+    nb = order[np.clip(pos - _K, 0, k - w)[:, None] + np.arange(w)]
+    r = np.sqrt(((cands[:, None, :] - points[nb]) ** 2).sum(axis=2))
+    window_e, _ = log_pair_terms(r, cand_kappas[:, None] * kappas[nb], p)
+    bound = np.logaddexp.reduce(window_e, axis=1)
+
+    first = (np.argpartition(bound, _N_THRESHOLD - 1)[:_N_THRESHOLD]
+             if m > _N_THRESHOLD else slice(None))
+    first_e, _ = pair_log_energies(cands[first], cand_kappas[first],
+                                   points, kappas, p)
+    threshold = np.logaddexp.reduce(first_e, axis=1).min()
+    keep = np.flatnonzero(
+        bound <= threshold + _PRUNE_SLACK * (1.0 + abs(threshold)))
+
+    log_e, valid = pair_log_energies(cands[keep], cand_kappas[keep],
+                                     points, kappas, p)
     ok = valid.all(axis=1)
-    scores = np.full(cands.shape[0], np.inf)
-    if np.any(ok):
-        scores[ok] = logsumexp(log_e[ok], axis=1)
-    return scores, ok
+    if not np.any(ok):
+        return -1, np.inf
+    scores = np.full(m, np.inf)
+    scores[keep[ok]] = logsumexp(log_e[ok], axis=1)
+    best = int(np.argmin(scores))
+    return best, float(scores[best])
 
 
 def _refine(best: np.ndarray, best_score: float, points, kappas,
@@ -114,10 +168,10 @@ def _refine(best: np.ndarray, best_score: float, points, kappas,
                 trial = best.copy()
                 trial[j] = np.clip(trial[j] + sign * step[j],
                                    oracle.domain_low[j], oracle.domain_high[j])
-                score, ok = _score_candidates(points, kappas, trial[None, :],
-                                              np.atleast_1d(oracle.kappa(trial)), p)
-                if ok[0] and score[0] < best_score:
-                    best, best_score = trial, float(score[0])
+                _, score = _score_candidates(points, kappas, trial[None, :],
+                                             np.atleast_1d(oracle.kappa(trial)), p)
+                if score < best_score:
+                    best, best_score = trial, score
     return best, best_score
 
 
@@ -137,10 +191,10 @@ def _propose_scored(points: np.ndarray, kappas: np.ndarray, oracle: DensityOracl
             cands = rng.uniform(oracle.domain_low, oracle.domain_high,
                                 size=(cfg.candidate_count, oracle.dim))
         cand_kappas = np.atleast_1d(oracle.kappa(cands))
-        scores, ok = _score_candidates(points, kappas, cands, cand_kappas, p)
-        if np.any(ok):
-            best_idx = int(np.argmin(scores))
-            best, best_score = cands[best_idx].copy(), float(scores[best_idx])
+        best_idx, best_score = _score_candidates(points, kappas, cands,
+                                                 cand_kappas, p)
+        if best_idx >= 0:
+            best = cands[best_idx].copy()
             if cfg.refine_iters > 0:
                 best, best_score = _refine(best, best_score, points,
                                            kappas, oracle, p, cfg.refine_iters)

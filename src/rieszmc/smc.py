@@ -40,6 +40,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 LOG_ZERO_SENTINEL = -1e9
 
+_BAND_LEVELS = np.array([0.025, 0.975])
+
 
 def _logsumexp_1d(x: np.ndarray) -> float:
     """Bare log-sum-exp; scipy's wrapper is too slow for the filter loop."""
@@ -182,6 +184,13 @@ class RieszProposalSet:
     mechanism, the q used in the weight ratio; the Laplace kernels give it
     full support for every tail_mix.  tail_mix = 1 degenerates to the plain
     Gaussian proposal.
+
+    Under ``"modulo"`` a batch of n particles draws kernel j exactly c_j
+    times, and when the set size does not divide n the counts differ.  q is
+    then the deterministic mixture sum_j (c_j / n) K_j over that index
+    multiset (Owen & Zhou 2000), which keeps the weight mean unbiased; with
+    equal counts it is the uniform mixture.  ``logpdf`` takes n from the
+    length of its batch, so it must see the whole batch ``sample`` drew.
     """
 
     configuration: PointConfiguration
@@ -202,18 +211,37 @@ class RieszProposalSet:
             raise ValueError("index_mode must be 'random' or 'modulo'")
         self._z = self.configuration.points[:, 0].copy()
         self._scale = self.jitter / math.sqrt(2.0)
-        self._narrow_const = (-math.log(self._z.shape[0])
-                              - math.log(2.0 * self._scale))
-        # Over sorted z and with k = #{z_j <= r},
-        #   sum_j exp(-|r - z_j| / b) = exp(lo[k] - r / b) + exp(hi[k] + r / b)
-        # where lo[k] = log sum_{j < k} exp(z_(j) / b) and
-        # hi[k] = log sum_{j >= k} exp(-z_(j) / b); the padding makes
-        # lo[0] = hi[n] = -inf, an empty side.
-        self._sorted_z = np.sort(self._z)
+        self._order = np.argsort(self._z)
+        self._sorted_z = self._z[self._order]
+        self._uniform = self._mixture_tables(0.0, self._z.shape[0])
+
+    def _mixture_tables(self, log_counts, total: int):
+        """Prefix tables and log constant of the Laplace-kernel mixture with
+        kernel j weighted count_j / total (log_counts in sorted-z order).
+
+        Over sorted z and with k = #{z_j <= r},
+          sum_j c_j exp(-|r - z_j| / b) = exp(lo[k] - r / b) + exp(hi[k] + r / b)
+        where lo[k] = log sum_{j < k} c_(j) exp(z_(j) / b) and
+        hi[k] = log sum_{j >= k} c_(j) exp(-z_(j) / b); the padding makes
+        lo[0] = hi[n] = -inf, an empty side.
+        """
         u = self._sorted_z / self._scale
-        self._lo = np.concatenate(([-np.inf], np.logaddexp.accumulate(u)))
-        self._hi = np.concatenate(
-            (np.logaddexp.accumulate(-u[::-1])[::-1], [-np.inf]))
+        lo = np.concatenate(
+            ([-np.inf], np.logaddexp.accumulate(u + log_counts)))
+        hi = np.concatenate(
+            (np.logaddexp.accumulate((log_counts - u)[::-1])[::-1], [-np.inf]))
+        return lo, hi, -math.log(total) - math.log(2.0 * self._scale)
+
+    def _mixture(self, n: int):
+        """Mixture tables for a batch of n particles."""
+        size = self.size
+        if self.index_mode == "random" or n % size == 0:
+            return self._uniform
+        counts = np.full(size, n // size)
+        counts[:n % size] += 1
+        with np.errstate(divide="ignore"):
+            log_counts = np.log(counts[self._order])
+        return self._mixture_tables(log_counts, n)
 
     @property
     def size(self) -> int:
@@ -238,10 +266,10 @@ class RieszProposalSet:
         log_jac = -np.log(stds)
         if self.tail_mix >= 1.0:
             return -0.5 * r * r - 0.5 * _LOG_2PI + log_jac
+        lo, hi, narrow_const = self._mixture(x.shape[0])
         k = np.searchsorted(self._sorted_z, r, side="right")
         rb = r / self._scale
-        narrow = (np.logaddexp(self._lo[k] - rb, self._hi[k] + rb)
-                  + self._narrow_const)
+        narrow = np.logaddexp(lo[k] - rb, hi[k] + rb) + narrow_const
         if self.tail_mix <= 0.0:
             return narrow + log_jac
         wide = -0.5 * r * r - 0.5 * _LOG_2PI
@@ -374,6 +402,8 @@ def run_filter(model, obs, n: int, N_prime: int, riesz_params: RieszParams,
     one per time step from the step's proposal context, "frozen" builds one
     standardized configuration up front and maps it through each particle's
     (mean, std) frame.  Passing ``proposal_set`` skips generation entirely.
+    The filtered means are the weighted particle means, and with
+    ``record_percentiles`` the band is the weighted 2.5% and 97.5% quantiles.
     """
     y = np.asarray(obs, dtype=float)
     if y.size == 0:
@@ -432,11 +462,15 @@ def run_filter(model, obs, n: int, N_prime: int, riesz_params: RieszParams,
             )
         loglik += lse - log_n
         w_norm = np.exp(log_w - lse)
-        means_out[t] = x.sum() / n
+        means_out[t] = w_norm @ x
         ess_out[t] = 1.0 / np.dot(w_norm, w_norm)
         if record_percentiles:
-            lo[t] = float(np.percentile(x, 2.5))
-            hi[t] = float(np.percentile(x, 97.5))
+            # weighted 2.5% / 97.5% quantiles: the smallest particle whose
+            # cumulative weight reaches each level
+            order = np.argsort(x)
+            cum = np.cumsum(w_norm[order])
+            at = np.searchsorted(cum, _BAND_LEVELS)
+            lo[t], hi[t] = x[order[np.minimum(at, n - 1)]]
     return FilterOutput(means_out, float(loglik), ess_out, lo, hi)
 
 

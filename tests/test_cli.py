@@ -250,6 +250,27 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["exit_code"] == 2
 
+    @pytest.mark.parametrize("experiment, options", [
+        ("filter-lgss", {"proposal": {"index_mode": "bogus"}}),
+        ("filter-lgss", {"proposal": {"jitter": 0.0}}),
+        ("filter-lgss", {"proposal": {"jitter": -0.1}}),
+        ("filter-lgss", {"n_values": [0]}),
+        ("pmh-lgss", {"step_sizes": [-0.1], "iterations": 5, "T": 5}),
+        ("pmh-sv", {"step_sizes": [1.0, -0.05, 0.03], "iterations": 5}),
+    ])
+    def test_invalid_option_values_exit_2(self, tmp_path, capsys,
+                                          experiment, options):
+        small = {"filter-lgss": {"n_values": [10], "n_seeds": 1, "T": 5,
+                                 "n_riesz": 10}}.get(experiment, {})
+        path = _write(tmp_path, "c.json", json.dumps({**small, **options}))
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--config", str(path),
+                  "--output", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["exit_code"] == 2
+
     def test_success_run(self, tmp_path):
         cfg_path = _write(tmp_path, "c.json",
                           json.dumps({"n_points": 20}))

@@ -324,6 +324,41 @@ class TestRunFilter:
         se = ratios.std(ddof=1) / math.sqrt(len(ratios))
         assert abs(ratios.mean() - 1.0) < 2 * se + 1e-4
 
+    @pytest.mark.parametrize("n", [10, 70])
+    def test_modulo_indexing_unbiased_when_set_size_does_not_divide_n(
+            self, pset50, n):
+        # n = 10 draws only kernels 0..9 of 50, n = 70 draws 0..19 twice
+        traj = lgss_simulate(PAPER, 3, 0.0, np.random.default_rng(5))
+        ko = kalman_filter(PAPER, traj.observations, 0.0, 0.0)
+        model = LgssFilterModel(PAPER, 0.0)
+        pset = RieszProposalSet(pset50.configuration, index_mode="modulo")
+        ratios = np.array([
+            math.exp(run_filter(model, traj.observations, n, 50, RP, SCFG,
+                                np.random.default_rng(seed),
+                                proposal_set=pset).log_likelihood
+                     - ko.log_likelihood)
+            for seed in range(1500)])
+        se = ratios.std(ddof=1) / math.sqrt(len(ratios))
+        assert abs(ratios.mean() - 1.0) < 4 * se
+
+    def test_filtered_mean_and_band_are_weighted(self, pset50):
+        # n = 2000 particles: the weighted mean sits on the Kalman mean and
+        # the weighted 2.5% / 97.5% band on its +-1.96 sd band
+        traj = lgss_simulate(PAPER, 50, 0.0, np.random.default_rng(22))
+        ko = kalman_filter(PAPER, traj.observations, 0.0, 0.0)
+        out = run_filter(LgssFilterModel(PAPER, 0.0), traj.observations,
+                         2000, 50, RP, SCFG, np.random.default_rng(3),
+                         proposal_set=pset50, record_percentiles=True)
+        sd = np.sqrt(ko.filtered_variances)
+        z = (out.filtered_means - ko.filtered_means) / sd
+        assert abs(z.mean()) < 0.015
+        assert np.all(out.percentile_lo <= out.filtered_means)
+        assert np.all(out.filtered_means <= out.percentile_hi)
+        z_lo = np.mean((out.percentile_lo - ko.filtered_means) / sd)
+        z_hi = np.mean((out.percentile_hi - ko.filtered_means) / sd)
+        assert z_lo == pytest.approx(-1.96, abs=0.1)
+        assert z_hi == pytest.approx(1.96, abs=0.1)
+
     def test_variance_shrinks_with_more_particles(self, pset50):
         traj = lgss_simulate(PAPER, 20, 0.0, np.random.default_rng(8))
         model = LgssFilterModel(PAPER, 0.0)
