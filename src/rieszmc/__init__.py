@@ -7,7 +7,6 @@ from .energy import (
     config_energy,
     covering_radius,
     log_pair_energy,
-    log_pair_weight,
     min_separation,
     pair_log_energies,
     uniformity_statistic,
@@ -39,13 +38,11 @@ from .sampler import (
 from .smc import (
     FilterOutput,
     LgssFilterModel,
-    ParticleSystem,
+    ProposalSpec,
     RieszProposalSet,
     SvFilterModel,
     log_bias_mse,
     multinomial_resample,
-    propagate_and_weight,
-    riesz_index,
     run_filter,
     systematic_resample,
 )

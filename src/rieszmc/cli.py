@@ -52,7 +52,13 @@ from .pmh import (
     posterior_summary,
 )
 from .sampler import SamplerConfig, generate_configuration, quantile_mapped_configuration
-from .smc import LgssFilterModel, RieszProposalSet, run_filter
+from .smc import (
+    LgssFilterModel,
+    ProposalSpec,
+    RieszProposalSet,
+    log_bias_mse,
+    run_filter,
+)
 from .ssm import LgssParams, kalman_filter, lgss_simulate
 
 EXPERIMENTS = ("generate-points", "filter-lgss", "pmh-lgss", "pmh-sv",
@@ -62,9 +68,8 @@ _RIESZ_DEFAULTS = {"s": 40.0, "d": 1, "alpha": 1.0, "beta": 2.0,
                    "eps_dist": 1e-9}
 _SAMPLER_DEFAULTS = {"candidate_count": 512, "refine_iters": 0,
                      "max_retries": 64}
-_PROPOSAL_DEFAULTS = {"mode": "frozen", "jitter": 0.1, "tail_mix": 0.05,
-                      "index_mode": "random", "half_width": 5.0,
-                      "resampling": "multinomial"}
+_PROPOSAL_DEFAULTS = {"jitter": 0.1, "tail_mix": 0.05, "index_mode": "random",
+                      "half_width": 5.0, "resampling": "multinomial"}
 
 DEFAULTS = {
     "generate-points": {
@@ -163,14 +168,38 @@ class ReturnsSeries:
 # ---------------------------------------------------------------------------
 # configuration
 
-def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
+_JSON_TYPES = ((type(None), "null"), (bool, "boolean"), ((int, float), "number"),
+               (str, "string"), (list, "array"), (dict, "object"))
+
+
+def _json_type(value) -> str:
+    return next(name for kind, name in _JSON_TYPES if isinstance(value, kind))
+
+
+def _merge(default, given, path: str = ""):
+    """``given`` merged over ``default`` at any depth.
+
+    A key absent from the defaults, or a value whose JSON type differs from
+    the default's, is a ConfigError naming its dotted path.  A null default
+    takes a number or null; a list's items take the type of the default's
+    items.
+    """
+    want, got = _json_type(default), _json_type(given)
+    allowed = ("null", "number") if want == "null" else (want,)
+    if got not in allowed:
+        raise ConfigError(f"config key {path} must be {' or '.join(allowed)}, "
+                          f"not {got}")
+    if want == "object":
+        prefix = path + "." if path else ""
+        unknown = sorted(prefix + key for key in set(given) - set(default))
+        if unknown:
+            raise ConfigError(f"unknown config keys: {unknown}")
+        return {**default, **{key: _merge(default[key], value, prefix + key)
+                              for key, value in given.items()}}
+    if want == "array" and default:
+        for i, item in enumerate(given):
+            _merge(default[0], item, f"{path}[{i}]")
+    return given
 
 
 def load_config(experiment: str, config_path=None, seed=None,
@@ -201,9 +230,6 @@ def load_config(experiment: str, config_path=None, seed=None,
         file_seed = raw.pop("seed", None)
         file_output = raw.pop("output_dir", None)
         file_input = raw.pop("input_path", None)
-        unknown = set(raw) - set(options)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         options = _merge(options, raw)
     final_seed = seed if seed is not None else (
         file_seed if file_seed is not None else 0)
@@ -261,9 +287,9 @@ def bundled_prices_path() -> Path:
 def load_prices_csv(path) -> ReturnsSeries:
     """Read a date/close CSV and return the log-return transform.
 
-    The header must contain columns named date and close (case-insensitive);
-    rows are assumed chronological.  Rows with non-positive closes are
-    rejected with their row number.
+    The header must contain columns named date and close (case-insensitive).
+    Dates must increase strictly; a repeated or earlier date, like a
+    non-positive close, is rejected with its row number.
     """
     path = Path(path)
     if not path.is_file():
@@ -282,15 +308,20 @@ def load_prices_csv(path) -> ReturnsSeries:
     d_idx, c_idx = header.index("date"), header.index("close")
     dates = []
     closes = []
+    last_day = None
     for row_no, row in enumerate(rows[1:], start=2):
         if len(row) <= max(d_idx, c_idx):
             raise DataError(f"row {row_no}: too few columns")
         raw_date = row[d_idx].strip()
         try:
-            _date.fromisoformat(raw_date)
+            day = _date.fromisoformat(raw_date)
         except ValueError as exc:
             raise DataError(f"row {row_no}: date '{raw_date}' is not "
                             "ISO-8601") from exc
+        if last_day is not None and day <= last_day:
+            raise DataError(f"row {row_no}: date {raw_date} does not follow "
+                            f"{dates[-1]}; dates must increase strictly")
+        last_day = day
         try:
             close = float(row[c_idx])
         except ValueError as exc:
@@ -313,24 +344,18 @@ def load_prices_csv(path) -> ReturnsSeries:
 
 def _build_riesz(options: dict) -> RieszParams:
     r = options["riesz"]
-    try:
-        return RieszParams(s=float(r["s"]), d=int(r["d"]),
-                           alpha=float(r["alpha"]), beta=float(r["beta"]),
-                           eps_dist=float(r["eps_dist"]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"invalid riesz parameters: {exc}") from exc
+    return RieszParams(s=float(r["s"]), d=int(r["d"]),
+                       alpha=float(r["alpha"]), beta=float(r["beta"]),
+                       eps_dist=float(r["eps_dist"]))
 
 
 def _build_sampler(options: dict, n_points: int, seed: int) -> SamplerConfig:
     s = options["sampler"]
-    try:
-        return SamplerConfig(n_points=n_points,
-                             candidate_count=int(s["candidate_count"]),
-                             refine_iters=int(s["refine_iters"]),
-                             max_retries=int(s["max_retries"]),
-                             seed=seed)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"invalid sampler parameters: {exc}") from exc
+    return SamplerConfig(n_points=n_points,
+                         candidate_count=int(s["candidate_count"]),
+                         refine_iters=int(s["refine_iters"]),
+                         max_retries=int(s["max_retries"]),
+                         seed=seed)
 
 
 def _build_target(options: dict):
@@ -390,19 +415,19 @@ def _qq_pairs(config, quantile_fn):
     return list(zip(theoretical, pts))
 
 
-def _proposal_kwargs(options: dict) -> dict:
-    p = options["proposal"]
-    mode = p.get("mode", "frozen")
-    if mode not in ("frozen", "regenerate"):
-        raise ConfigError("proposal mode must be 'frozen' or 'regenerate'")
-    return {
-        "mode": mode,
-        "jitter": float(p["jitter"]),
-        "tail_mix": float(p["tail_mix"]),
-        "index_mode": p["index_mode"],
-        "half_width": float(p["half_width"]),
-        "resampling": p.get("resampling", "multinomial"),
-    }
+def _proposal_spec(options: dict) -> ProposalSpec:
+    return ProposalSpec(**options["proposal"])
+
+
+def _lgss_data(options: dict):
+    """LGSS parameters, x0 and the simulated record of a config."""
+    m = options["model"]
+    params = LgssParams(float(m["phi"]), float(m["sigma_v"]),
+                        float(m["sigma_o"]))
+    x0 = float(m["x0"])
+    traj = lgss_simulate(params, int(options["T"]), x0,
+                         np.random.default_rng(int(options["data_seed"])))
+    return params, x0, traj
 
 
 # ---------------------------------------------------------------------------
@@ -452,49 +477,34 @@ def _run_diagnostics(cfg: ExperimentConfig) -> dict:
 
 def _run_filter_lgss(cfg: ExperimentConfig) -> dict:
     opt = cfg.options
-    m = opt["model"]
-    try:
-        params = LgssParams(float(m["phi"]), float(m["sigma_v"]),
-                            float(m["sigma_o"]))
-    except ValueError as exc:
-        raise ConfigError(f"invalid model parameters: {exc}") from exc
-    x0 = float(m["x0"])
+    params, x0, traj = _lgss_data(opt)
     T = int(opt["T"])
-    traj = lgss_simulate(params, T, x0,
-                         np.random.default_rng(int(opt["data_seed"])))
     oracle_out = kalman_filter(params, traj.observations, x0, 0.0)
     model = LgssFilterModel(params, x0)
     riesz = _build_riesz(opt)
     n_riesz = int(opt["n_riesz"])
     n_seeds = int(opt["n_seeds"])
-    pk = _proposal_kwargs(opt)
     ss = np.random.SeedSequence(cfg.seed)
-    pset = None
-    if pk["mode"] == "frozen":
-        pset_cfg = _build_sampler(opt, n_riesz,
-                                  int(ss.spawn(1)[0].generate_state(1)[0]))
-        pset = RieszProposalSet.standard_normal(
-            n_riesz, riesz, pset_cfg, pk["half_width"], jitter=pk["jitter"],
-            tail_mix=pk["tail_mix"], index_mode=pk["index_mode"])
+    pset_cfg = _build_sampler(opt, n_riesz,
+                              int(ss.spawn(1)[0].generate_state(1)[0]))
+    pset = RieszProposalSet.standard_normal(n_riesz, riesz, pset_cfg,
+                                            _proposal_spec(opt))
     rows = []
     rep_output = None
     for n in opt["n_values"]:
         n = int(n)
-        abs_err = []
-        sq_err = []
+        filtered = []
         for child in ss.spawn(n_seeds):
             rng = np.random.default_rng(child)
             out = run_filter(model, traj.observations, n, n_riesz, riesz,
-                             _build_sampler(opt, n_riesz, 0), rng,
-                             proposal_set=pset,
-                             record_percentiles=rep_output is None, **pk)
+                             None, rng, proposal_set=pset,
+                             record_percentiles=rep_output is None)
             if rep_output is None:
                 rep_output = out
-            err = out.filtered_means - oracle_out.filtered_means
-            abs_err.append(np.abs(err))
-            sq_err.append(err ** 2)
-        rows.append((n, float(np.log(np.mean(abs_err))),
-                     float(np.log(np.mean(sq_err)))))
+            filtered.append(out.filtered_means)
+        rows.append((n, *log_bias_mse(
+            np.concatenate(filtered),
+            np.tile(oracle_out.filtered_means, n_seeds))))
     _write_csv(cfg.output_dir / "results.csv", ["n", "log_bias", "log_mse"],
                rows)
     _write_csv(
@@ -525,23 +535,28 @@ def _pmh_common(opt: dict) -> tuple[int, int, int]:
     return iterations, burn_in, max_lag
 
 
+def _pmh_chain(opt: dict, family, y, prior, burn_in: int, step_sizes,
+               seed: int):
+    n_riesz = int(opt["n_riesz"])
+    chain_cfg = PmhConfig(iterations=int(opt["iterations"]), burn_in=burn_in,
+                          step_sizes=step_sizes,
+                          n_particles=int(opt["n_particles"]),
+                          n_riesz=n_riesz, seed=seed)
+    return pmh_run(family, y, prior, chain_cfg,
+                   theta0=np.asarray(opt["theta0"], dtype=float),
+                   riesz_params=_build_riesz(opt),
+                   sampler_cfg=_build_sampler(opt, n_riesz, 0),
+                   proposal_spec=_proposal_spec(opt))
+
+
 def _run_pmh_lgss(cfg: ExperimentConfig) -> dict:
     opt = cfg.options
-    m = opt["model"]
-    try:
-        params = LgssParams(float(m["phi"]), float(m["sigma_v"]),
-                            float(m["sigma_o"]))
-    except ValueError as exc:
-        raise ConfigError(f"invalid model parameters: {exc}") from exc
-    x0 = float(m["x0"])
-    traj = lgss_simulate(params, int(opt["T"]), x0,
-                         np.random.default_rng(int(opt["data_seed"])))
+    params, x0, traj = _lgss_data(opt)
     family = LgssPhiFamily(params.sigma_v, params.sigma_o, x0)
     prior = IndependentPrior((TruncatedGaussianPrior(
         float(opt["prior"]["mean"]), float(opt["prior"]["std"]),
         -1.0, 1.0),))
     iterations, burn_in, max_lag = _pmh_common(opt)
-    pk = _proposal_kwargs(opt)
     results = []
     trace_rows = []
     acf_rows = []
@@ -549,16 +564,8 @@ def _run_pmh_lgss(cfg: ExperimentConfig) -> dict:
     ss = np.random.SeedSequence(cfg.seed)
     for h, child in zip(opt["step_sizes"], ss.spawn(len(opt["step_sizes"]))):
         h = float(h)
-        chain_cfg = PmhConfig(iterations=iterations, burn_in=burn_in,
-                              step_sizes=[h],
-                              n_particles=int(opt["n_particles"]),
-                              n_riesz=int(opt["n_riesz"]),
-                              seed=int(child.generate_state(1)[0]))
-        chain = pmh_run(family, traj.observations, prior, chain_cfg,
-                        theta0=np.asarray(opt["theta0"], dtype=float),
-                        riesz_params=_build_riesz(opt),
-                        sampler_cfg=_build_sampler(opt, int(opt["n_riesz"]), 0),
-                        **pk)
+        chain = _pmh_chain(opt, family, traj.observations, prior, burn_in,
+                           [h], int(child.generate_state(1)[0]))
         mean, var = posterior_summary(chain, burn_in)
         lags = acf(chain.samples[burn_in:, 0], max_lag)
         results.extend((h, it, chain.samples[it, 0],
@@ -599,18 +606,10 @@ def _run_pmh_sv(cfg: ExperimentConfig) -> dict:
                                float(priors["sigma_v"][1]), 0.0, np.inf),
     ))
     iterations, burn_in, max_lag = _pmh_common(opt)
-    pk = _proposal_kwargs(opt)
     ss = np.random.SeedSequence(cfg.seed)
     chain_seed, vol_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
-    chain_cfg = PmhConfig(iterations=iterations, burn_in=burn_in,
-                          step_sizes=np.asarray(opt["step_sizes"], float),
-                          n_particles=int(opt["n_particles"]),
-                          n_riesz=int(opt["n_riesz"]), seed=chain_seed)
-    chain = pmh_run(family, y, prior, chain_cfg,
-                    theta0=np.asarray(opt["theta0"], dtype=float),
-                    riesz_params=_build_riesz(opt),
-                    sampler_cfg=_build_sampler(opt, int(opt["n_riesz"]), 0),
-                    **pk)
+    chain = _pmh_chain(opt, family, y, prior, burn_in,
+                       np.asarray(opt["step_sizes"], float), chain_seed)
     mean, var = posterior_summary(chain, burn_in)
     names = SvFamily.theta_names
     _write_csv(cfg.output_dir / "results.csv",
@@ -628,12 +627,13 @@ def _run_pmh_sv(cfg: ExperimentConfig) -> dict:
     _write_csv(cfg.output_dir / "plotdata" / "acf.csv",
                ["parameter", "lag", "acf"], acf_rows)
     # filtered log-volatility with 95% interval at the posterior mean
-    model = family.make_model(mean)
-    vol = run_filter(model, y, int(opt["n_particles"]),
-                     int(opt["n_riesz"]), _build_riesz(opt),
-                     _build_sampler(opt, int(opt["n_riesz"]), 0),
-                     np.random.default_rng(vol_seed),
-                     record_percentiles=True, **pk)
+    n_riesz = int(opt["n_riesz"])
+    riesz = _build_riesz(opt)
+    vol_set = RieszProposalSet.standard_normal(
+        n_riesz, riesz, _build_sampler(opt, n_riesz, 0), _proposal_spec(opt))
+    vol = run_filter(family.make_model(mean), y, int(opt["n_particles"]),
+                     n_riesz, riesz, None, np.random.default_rng(vol_seed),
+                     proposal_set=vol_set, record_percentiles=True)
     _write_csv(cfg.output_dir / "plotdata" / "volatility.csv",
                ["date", "log_return", "vol_mean", "lo95", "hi95"],
                [(series.dates[t], series.log_returns[t],

@@ -199,31 +199,18 @@ class DensityOracle:
 # ---------------------------------------------------------------------------
 # pair potential
 
-def _as_point(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=float))
-
-
-def log_pair_weight(xi, xj, ki: float, kj: float, p: RieszParams) -> float:
-    """log of the pair weight: (alpha*ki*kj + beta*||xi-xj||)^(-s/(2d)).
-
-    The weight itself is exp of this value; it is never exponentiated here.
-    """
-    r = float(np.linalg.norm(_as_point(xi) - _as_point(xj)))
+def log_pair_energy(xi, xj, ki: float, kj: float, p: RieszParams) -> float:
+    """log of the pair potential w(xi, xj) / ||xi-xj||^s, with the pair
+    weight w = (alpha*ki*kj + beta*||xi-xj||)^(-s/(2d))."""
+    r = float(np.linalg.norm(np.subtract(xi, xj, dtype=float)))
     if r < p.eps_dist:
         raise DegenerateDistance(f"pair distance {r} below eps_dist {p.eps_dist}")
-    a = p.alpha * ki * kj + p.beta * r
-    if a <= 0.0:
+    log_e, valid = log_pair_terms(np.array(r), np.array(ki * kj), p)
+    if not valid:
         raise NonPositiveBracket(
-            f"bracket {a} <= 0 for alpha={p.alpha}, beta={p.beta}: "
-            "parameter combination outside the criterion's valid region"
-        )
-    return float(a ** p.bracket_exponent)
-
-
-def log_pair_energy(xi, xj, ki: float, kj: float, p: RieszParams) -> float:
-    """log of the pair potential w(xi, xj) / ||xi-xj||^s."""
-    r = float(np.linalg.norm(_as_point(xi) - _as_point(xj)))
-    return log_pair_weight(xi, xj, ki, kj, p) - p.s * np.log(r)
+            f"bracket <= 0 for kappas {ki}, {kj} at distance {r}: alpha="
+            f"{p.alpha}, beta={p.beta} lie outside the criterion's valid region")
+    return float(log_e)
 
 
 def pair_log_energies(points_a: np.ndarray, kappas_a: np.ndarray,
@@ -273,10 +260,10 @@ def config_energy(c: PointConfiguration, p: RieszParams) -> float:
     if np.any(r < p.eps_dist):
         raise DegenerateDistance("configuration violates the eps_dist guard")
     iu, ju = np.triu_indices(c.n, k=1)
-    bracket = p.alpha * c.kappa_values[iu] * c.kappa_values[ju] + p.beta * r
-    if np.any(bracket <= 0.0):
+    log_terms, valid = log_pair_terms(
+        r, c.kappa_values[iu] * c.kappa_values[ju], p)
+    if not np.all(valid):
         raise NonPositiveBracket("a pair bracket is non-positive")
-    log_terms = np.power(bracket, p.bracket_exponent) - p.s * np.log(r)
     return float(logsumexp(log_terms) / p.s)
 
 

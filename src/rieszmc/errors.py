@@ -83,10 +83,6 @@ class LengthMismatch(NumericalError):
 
 # -- pmh --------------------------------------------------------------------
 
-class InvalidPrior(NumericalError):
-    """Proposed parameter has zero prior mass."""
-
-
 class SeriesTooShort(NumericalError):
     """Series shorter than the requested maximum lag."""
 

@@ -17,7 +17,13 @@ from scipy.special import ndtr
 from .energy import RieszParams
 from .errors import BurnInTooLarge, SeriesTooShort
 from .sampler import SamplerConfig
-from .smc import LgssFilterModel, RieszProposalSet, SvFilterModel, run_filter
+from .smc import (
+    LgssFilterModel,
+    ProposalSpec,
+    RieszProposalSet,
+    SvFilterModel,
+    run_filter,
+)
 from .ssm import LgssParams, SvParams
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -186,16 +192,16 @@ def acceptance_log_ratio(current: ChainState, proposed: ChainState,
 
 def pmh_run(family, obs, prior, cfg: PmhConfig, *,
             theta0, riesz_params: RieszParams | None = None,
-            sampler_cfg: SamplerConfig | None = None, mode: str = "frozen",
-            jitter: float = 0.1, tail_mix: float = 0.05,
-            index_mode: str = "random", half_width: float = 5.0,
-            resampling: str = "multinomial",
+            sampler_cfg: SamplerConfig | None = None,
+            proposal_spec: ProposalSpec = ProposalSpec(),
             loglik_fn: Callable | None = None) -> ChainOutput:
     """Run the pseudo-marginal chain; deterministic given cfg.seed.
 
-    ``loglik_fn(theta, rng)`` overrides the particle-filter likelihood (used
-    to reduce the chain to exact-likelihood MH in tests).  A rejected
-    proposal never overwrites the stored likelihood estimate.
+    Every filter evaluation draws through one proposal set of cfg.n_riesz
+    points, built once from ``proposal_spec``.  ``loglik_fn(theta, rng)``
+    overrides the particle-filter likelihood (used to reduce the chain to
+    exact-likelihood MH in tests).  A rejected proposal never overwrites the
+    stored likelihood estimate.
     """
     obs = np.asarray(obs, dtype=float)
     if riesz_params is None:
@@ -205,23 +211,19 @@ def pmh_run(family, obs, prior, cfg: PmhConfig, *,
     ss = np.random.SeedSequence(cfg.seed)
     chain_seed, pset_seed, filt_root = ss.spawn(3)
     rng_chain = np.random.default_rng(chain_seed)
-    proposal_set = None
-    if loglik_fn is None and mode == "frozen":
-        pset_cfg = replace(sampler_cfg, n_points=cfg.n_riesz,
+    if loglik_fn is None:
+        pset_cfg = replace(sampler_cfg,
                            seed=int(pset_seed.generate_state(1)[0]))
         proposal_set = RieszProposalSet.standard_normal(
-            cfg.n_riesz, riesz_params, pset_cfg, half_width,
-            jitter=jitter, tail_mix=tail_mix, index_mode=index_mode)
+            cfg.n_riesz, riesz_params, pset_cfg, proposal_spec)
 
     def evaluate(theta: np.ndarray, rng: np.random.Generator) -> float:
         if loglik_fn is not None:
             return float(loglik_fn(theta, rng))
         model = family.make_model(theta)
         out = run_filter(model, obs, cfg.n_particles, cfg.n_riesz,
-                         riesz_params, sampler_cfg, rng, mode=mode,
-                         proposal_set=proposal_set, jitter=jitter,
-                         tail_mix=tail_mix, index_mode=index_mode,
-                         half_width=half_width, resampling=resampling)
+                         riesz_params, sampler_cfg, rng,
+                         proposal_set=proposal_set)
         return out.log_likelihood
 
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()

@@ -21,11 +21,7 @@ from scipy.special import ndtr, ndtri
 
 from .energy import DensityOracle, PointConfiguration, RieszParams
 from .errors import AllWeightsZero, LengthMismatch, UnnormalizedWeights
-from .sampler import (
-    SamplerConfig,
-    generate_configuration,
-    quantile_mapped_configuration,
-)
+from .sampler import SamplerConfig, quantile_mapped_configuration
 from .ssm import (
     LgssParams,
     SvParams,
@@ -49,42 +45,6 @@ def _logsumexp_1d(x: np.ndarray) -> float:
     if not np.isfinite(m):
         return float(m)
     return float(m + math.log(np.exp(x - m).sum()))
-
-
-@dataclass
-class ParticleSystem:
-    """Particles, weights and ancestry at one time step."""
-
-    particles: np.ndarray
-    log_weights: np.ndarray
-    normalized_weights: np.ndarray
-    ancestors: np.ndarray
-    t: int
-
-    def __post_init__(self):
-        n = self.particles.shape[0]
-        if not (self.log_weights.shape[0] == n
-                and self.normalized_weights.shape[0] == n
-                and self.ancestors.shape[0] == n):
-            raise LengthMismatch("particle system arrays must share one length")
-        if abs(self.normalized_weights.sum() - 1.0) > 1e-12:
-            raise UnnormalizedWeights("normalized weights must sum to 1")
-        if np.any((self.ancestors < 0) | (self.ancestors >= n)):
-            raise ValueError("ancestor indices out of range")
-
-    @property
-    def n(self) -> int:
-        return self.particles.shape[0]
-
-    @property
-    def ess(self) -> float:
-        return float(1.0 / np.sum(self.normalized_weights ** 2))
-
-    @classmethod
-    def initial(cls, particles: np.ndarray) -> "ParticleSystem":
-        n = particles.shape[0]
-        return cls(particles, np.zeros(n), np.full(n, 1.0 / n),
-                   np.arange(n), 0)
 
 
 @dataclass
@@ -170,20 +130,53 @@ class SvFilterModel:
 # ---------------------------------------------------------------------------
 # proposal set
 
+@dataclass(frozen=True)
+class ProposalSpec:
+    """The options of a Riesz proposal, apart from its points.
+
+    ``RieszProposalSet`` describes jitter, tail_mix and index_mode;
+    ``half_width`` truncates the configuration's N(0, 1) target, in stds,
+    and ``resampling`` is the filter's ancestor scheme.  ``"modulo"`` with
+    ``"systematic"`` is rejected: systematic resampling gives an ancestor's
+    offspring a contiguous block of indices, so i mod N' would depend on
+    the ancestor and bias the likelihood estimate.
+    """
+
+    jitter: float = 0.1
+    tail_mix: float = 0.05
+    index_mode: str = "random"
+    half_width: float = 5.0
+    resampling: str = "multinomial"
+
+    def __post_init__(self):
+        if self.jitter <= 0:
+            raise ValueError("jitter must be positive")
+        if not 0.0 <= self.tail_mix <= 1.0:
+            raise ValueError("tail_mix must lie in [0, 1]")
+        if self.index_mode not in ("random", "modulo"):
+            raise ValueError("index_mode must be 'random' or 'modulo'")
+        if self.resampling not in ("multinomial", "systematic"):
+            raise ValueError("resampling must be 'multinomial' or 'systematic'")
+        if self.index_mode == "modulo" and self.resampling == "systematic":
+            raise ValueError("index_mode 'modulo' needs multinomial "
+                             "resampling: under systematic resampling the "
+                             "kernel index depends on the ancestor")
+
+
 @dataclass
 class RieszProposalSet:
     """Standardized Riesz locations plus the proposal density they induce.
 
-    ``configuration`` holds the standardized points z.  Per particle with
-    frame (mean, std) the proposal draws mean + std * (z_J + lap) with
-    probability 1 - tail_mix, where lap ~ Laplace(0, jitter / sqrt(2)) so
-    that ``jitter`` is the kernel's standard deviation; otherwise it draws
-    mean + std * eps with eps standard normal.  J is a random index
-    (``index_mode="random"``) or the particle index modulo the set size
-    (``"modulo"``).  ``logpdf`` evaluates the exact density of this
-    mechanism, the q used in the weight ratio; the Laplace kernels give it
-    full support for every tail_mix.  tail_mix = 1 degenerates to the plain
-    Gaussian proposal.
+    ``configuration`` holds the standardized points z and ``spec`` the
+    proposal options.  Per particle with frame (mean, std) the proposal
+    draws mean + std * (z_J + lap) with probability 1 - tail_mix, where
+    lap ~ Laplace(0, jitter / sqrt(2)) so that ``jitter`` is the kernel's
+    standard deviation; otherwise it draws mean + std * eps with eps
+    standard normal.  J is a random index (``index_mode="random"``) or the
+    particle index modulo the set size (``"modulo"``).  ``logpdf`` evaluates
+    the exact density of this mechanism, the q used in the weight ratio; the
+    Laplace kernels give it full support for every tail_mix.  tail_mix = 1
+    degenerates to the plain Gaussian proposal.
 
     Under ``"modulo"`` a batch of n particles draws kernel j exactly c_j
     times, and when the set size does not divide n the counts differ.  q is
@@ -194,23 +187,15 @@ class RieszProposalSet:
     """
 
     configuration: PointConfiguration
-    jitter: float = 0.1
-    tail_mix: float = 0.05
-    index_mode: str = "random"
+    spec: ProposalSpec = ProposalSpec()
 
     def __post_init__(self):
         if self.configuration.dim != 1:
             raise ValueError("proposal sets are one-dimensional")
         if self.configuration.n < 2:
             raise ValueError("proposal set needs at least 2 points")
-        if self.jitter <= 0:
-            raise ValueError("jitter must be positive")
-        if not 0.0 <= self.tail_mix <= 1.0:
-            raise ValueError("tail_mix must lie in [0, 1]")
-        if self.index_mode not in ("random", "modulo"):
-            raise ValueError("index_mode must be 'random' or 'modulo'")
         self._z = self.configuration.points[:, 0].copy()
-        self._scale = self.jitter / math.sqrt(2.0)
+        self._scale = self.spec.jitter / math.sqrt(2.0)
         self._order = np.argsort(self._z)
         self._sorted_z = self._z[self._order]
         self._uniform = self._mixture_tables(0.0, self._z.shape[0])
@@ -235,7 +220,7 @@ class RieszProposalSet:
     def _mixture(self, n: int):
         """Mixture tables for a batch of n particles."""
         size = self.size
-        if self.index_mode == "random" or n % size == 0:
+        if self.spec.index_mode == "random" or n % size == 0:
             return self._uniform
         counts = np.full(size, n // size)
         counts[:n % size] += 1
@@ -250,11 +235,11 @@ class RieszProposalSet:
     def sample(self, means: np.ndarray, stds: np.ndarray,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         n = means.shape[0]
-        if self.index_mode == "modulo":
+        if self.spec.index_mode == "modulo":
             idx = np.arange(n) % self.size
         else:
             idx = rng.integers(0, self.size, size=n)
-        wide = rng.random(n) < self.tail_mix
+        wide = rng.random(n) < self.spec.tail_mix
         eps = rng.standard_normal(n)
         lap = rng.laplace(0.0, self._scale, size=n)
         r = np.where(wide, eps, self._z[idx] + lap)
@@ -262,56 +247,32 @@ class RieszProposalSet:
 
     def logpdf(self, x: np.ndarray, means: np.ndarray,
                stds: np.ndarray) -> np.ndarray:
+        tail_mix = self.spec.tail_mix
         r = (x - means) / stds
         log_jac = -np.log(stds)
-        if self.tail_mix >= 1.0:
+        if tail_mix >= 1.0:
             return -0.5 * r * r - 0.5 * _LOG_2PI + log_jac
         lo, hi, narrow_const = self._mixture(x.shape[0])
         k = np.searchsorted(self._sorted_z, r, side="right")
         rb = r / self._scale
         narrow = np.logaddexp(lo[k] - rb, hi[k] + rb) + narrow_const
-        if self.tail_mix <= 0.0:
+        if tail_mix <= 0.0:
             return narrow + log_jac
         wide = -0.5 * r * r - 0.5 * _LOG_2PI
-        return np.logaddexp(math.log1p(-self.tail_mix) + narrow,
-                            math.log(self.tail_mix) + wide) + log_jac
-
-    def proposal_logpdf(self, point, context) -> float:
-        """Density of one proposal draw; context is the (mean, std) frame."""
-        mean, std = context
-        return float(self.logpdf(np.atleast_1d(float(point)),
-                                 np.atleast_1d(float(mean)),
-                                 np.atleast_1d(float(std)))[0])
+        return np.logaddexp(math.log1p(-tail_mix) + narrow,
+                            math.log(tail_mix) + wide) + log_jac
 
     @classmethod
     def standard_normal(cls, n_points: int, riesz_params: RieszParams,
-                        sampler_cfg: SamplerConfig, half_width: float = 5.0,
-                        **kwargs) -> "RieszProposalSet":
+                        sampler_cfg: SamplerConfig,
+                        spec: ProposalSpec = ProposalSpec()
+                        ) -> "RieszProposalSet":
         """Frozen standardized configuration targeting N(0, 1)."""
-        target = DensityOracle.gaussian(0.0, 1.0, half_width)
+        target = DensityOracle.gaussian(0.0, 1.0, spec.half_width)
         cfg = replace(sampler_cfg, n_points=n_points)
         report = quantile_mapped_configuration(target, ndtr, ndtri,
                                                replace(riesz_params, d=1), cfg)
-        return cls(report.configuration, **kwargs)
-
-
-def _step_proposal_set(means: np.ndarray, stds: np.ndarray,
-                       riesz_params: RieszParams, sampler_cfg: SamplerConfig,
-                       seed: int, half_width: float,
-                       **kwargs) -> RieszProposalSet:
-    """Regenerate a configuration from the step's aggregate proposal context.
-
-    kappa comes from -log of the pooled proposal Gaussian; the resulting
-    points are standardized so the shared affine-frame machinery applies.
-    """
-    center = float(np.mean(means))
-    pooled = math.sqrt(float(np.mean(stds ** 2) + np.var(means)))
-    target = DensityOracle.gaussian(center, pooled, half_width)
-    cfg = replace(sampler_cfg, seed=seed)
-    report = generate_configuration(target, replace(riesz_params, d=1), cfg)
-    z = (report.configuration.points - center) / pooled
-    config = PointConfiguration(z, report.configuration.kappa_values.copy(), 1)
-    return RieszProposalSet(config, **kwargs)
+        return cls(report.configuration, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -355,55 +316,21 @@ def systematic_resample(weights, rng: np.random.Generator,
     return _systematic_indices(w, rng, n).astype(np.int64)
 
 
-def riesz_index(i: int, N_prime: int) -> int:
-    """Modular index allocation of particle i over a size-N' Riesz set."""
-    if N_prime < 1:
-        raise ValueError("N_prime must be at least 1")
-    return i % N_prime
-
-
-def propagate_and_weight(ps: ParticleSystem, y_t: float, model,
-                         proposal: RieszProposalSet,
-                         rng: np.random.Generator) -> tuple[ParticleSystem, float]:
-    """One propagation/weighting step from an already-resampled system.
-
-    Each particle draws through the proposal set in its own frame, weights
-    are g * f / q with q the exact proposal density, and the log-likelihood
-    increment is log of the weight mean (via log-sum-exp).
-    """
-    x_prev = ps.particles
-    means, stds = model.proposal_moments(x_prev, y_t)
-    x_new, _ = proposal.sample(means, stds, rng)
-    log_w = (model.observation_logpdf(y_t, x_new)
-             + model.transition_logpdf(x_new, x_prev)
-             - proposal.logpdf(x_new, means, stds))
-    lse = _logsumexp_1d(log_w)
-    if not np.isfinite(lse):
-        raise AllWeightsZero(
-            f"all particle weights vanished at t={ps.t + 1}: "
-            "proposal/model mismatch"
-        )
-    increment = float(lse - math.log(ps.n))
-    normalized = np.exp(log_w - lse)
-    new_ps = ParticleSystem(x_new, log_w, normalized, ps.ancestors, ps.t + 1)
-    return new_ps, increment
-
-
 def run_filter(model, obs, n: int, N_prime: int, riesz_params: RieszParams,
                sampler_cfg: SamplerConfig | None, rng: np.random.Generator, *,
-               mode: str = "regenerate", proposal_set: RieszProposalSet | None = None,
-               jitter: float = 0.1, tail_mix: float = 0.05,
-               index_mode: str = "random", half_width: float = 5.0,
-               resampling: str = "multinomial",
+               mode: str = "frozen", proposal_set: RieszProposalSet | None = None,
                record_percentiles: bool = False) -> FilterOutput:
     """Full particle filter pass over the observation record.
 
-    mode selects how the Riesz configuration is obtained: "regenerate" builds
-    one per time step from the step's proposal context, "frozen" builds one
-    standardized configuration up front and maps it through each particle's
-    (mean, std) frame.  Passing ``proposal_set`` skips generation entirely.
-    The filtered means are the weighted particle means, and with
-    ``record_percentiles`` the band is the weighted 2.5% and 97.5% quantiles.
+    Every particle draws through one standardized configuration mapped into
+    its own (mean, std) frame, ``"frozen"`` being the only ``mode``.  The
+    proposal, resampling scheme included, is ``proposal_set``; without one
+    the filter builds the default set of N_prime points from
+    ``riesz_params`` and ``sampler_cfg``.  Weights are g * f / q with q the
+    exact proposal density, and the log-likelihood estimate sums the logs of
+    the weight means.  The filtered means are the weighted particle means,
+    and with ``record_percentiles`` the band is the weighted 2.5% and 97.5%
+    quantiles.
     """
     y = np.asarray(obs, dtype=float)
     if y.size == 0:
@@ -412,23 +339,19 @@ def run_filter(model, obs, n: int, N_prime: int, riesz_params: RieszParams,
         raise ValueError("n must be at least 1")
     if N_prime < 2:
         raise ValueError("N_prime must be at least 2")
-    if mode not in ("regenerate", "frozen"):
-        raise ValueError("mode must be 'regenerate' or 'frozen'")
+    if mode != "frozen":
+        raise ValueError("mode must be 'frozen'")
+    if proposal_set is None:
+        if sampler_cfg is None:
+            sampler_cfg = SamplerConfig(n_points=N_prime)
+        proposal_set = RieszProposalSet.standard_normal(
+            N_prime, riesz_params, sampler_cfg)
     # the filter's own weights are normalised by construction, so it draws
     # ancestors without the public resamplers' validation
-    if resampling == "multinomial":
+    if proposal_set.spec.resampling == "multinomial":
         resample = _multinomial_indices
-    elif resampling == "systematic":
-        resample = _systematic_indices
     else:
-        raise ValueError("resampling must be 'multinomial' or 'systematic'")
-    if sampler_cfg is None:
-        sampler_cfg = SamplerConfig(n_points=max(N_prime, 2))
-    pset_kwargs = dict(jitter=jitter, tail_mix=tail_mix, index_mode=index_mode)
-    if proposal_set is None and mode == "frozen":
-        cfg = replace(sampler_cfg, n_points=N_prime)
-        proposal_set = RieszProposalSet.standard_normal(
-            N_prime, riesz_params, cfg, half_width, **pset_kwargs)
+        resample = _systematic_indices
     T = y.shape[0]
     means_out = np.empty(T)
     ess_out = np.empty(T)
@@ -438,22 +361,14 @@ def run_filter(model, obs, n: int, N_prime: int, riesz_params: RieszParams,
     log_n = math.log(n)
     x = model.initial_states(n, rng)
     w_norm = np.full(n, 1.0 / n)
-    # lean inline of resample + propagate_and_weight (same arithmetic)
     for t in range(T):
         anc = resample(w_norm, rng, n)
         x_prev = x[anc]
         frame_means, frame_stds = model.proposal_moments(x_prev, y[t])
-        if proposal_set is not None:
-            pset = proposal_set
-        else:
-            seed = int(rng.integers(0, 2 ** 63 - 1))
-            pset = _step_proposal_set(frame_means, frame_stds, riesz_params,
-                                      replace(sampler_cfg, n_points=N_prime),
-                                      seed, half_width, **pset_kwargs)
-        x, _ = pset.sample(frame_means, frame_stds, rng)
+        x, _ = proposal_set.sample(frame_means, frame_stds, rng)
         log_w = (model.observation_logpdf(y[t], x)
                  + model.transition_logpdf(x, x_prev)
-                 - pset.logpdf(x, frame_means, frame_stds))
+                 - proposal_set.logpdf(x, frame_means, frame_stds))
         lse = _logsumexp_1d(log_w)
         if not np.isfinite(lse):
             raise AllWeightsZero(
@@ -486,6 +401,6 @@ def log_bias_mse(filtered, oracle_means) -> tuple[float, float]:
     diff = f - o
     bias = float(np.mean(np.abs(diff)))
     mse = float(np.mean(diff ** 2))
-    log_bias = math.log(bias) if bias > 0 else LOG_ZERO_SENTINEL
-    log_mse = math.log(mse) if mse > 0 else LOG_ZERO_SENTINEL
+    log_bias = float(np.log(bias)) if bias > 0 else LOG_ZERO_SENTINEL
+    log_mse = float(np.log(mse)) if mse > 0 else LOG_ZERO_SENTINEL
     return log_bias, log_mse

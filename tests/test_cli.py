@@ -1,5 +1,6 @@
 """Config handling, CSV ingestion, experiment outputs and exit codes."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -105,6 +106,19 @@ class TestLoadPricesCsv:
         with pytest.raises(DataError):
             load_prices_csv(tmp_path / "nope.csv")
 
+    def test_repeated_date_rejected(self, tmp_path):
+        path = _write(tmp_path, "p.csv",
+                      "date,close\n2020-01-01,100\n2020-01-02,101\n"
+                      "2020-01-02,102\n")
+        with pytest.raises(DataError, match="row 4"):
+            load_prices_csv(path)
+
+    def test_backwards_date_rejected(self, tmp_path):
+        path = _write(tmp_path, "p.csv",
+                      "date,close\n2020-01-02,100\n2020-01-01,101\n")
+        with pytest.raises(DataError, match="row 3"):
+            load_prices_csv(path)
+
     def test_returns_roundtrip_17_digits(self):
         series = load_prices_csv(bundled_prices_path())
         rendered = [format_float(v) for v in series.log_returns]
@@ -147,6 +161,29 @@ class TestLoadConfig:
         path = _write(tmp_path, "c.json", json.dumps({"bogus": 1}))
         with pytest.raises(ConfigError):
             load_config("filter-lgss", path)
+
+    @pytest.mark.parametrize("options, path", [
+        ({"proposal": {"jiter": 0.5}}, "proposal.jiter"),
+        ({"proposal": {"mode": "frozen"}}, "proposal.mode"),
+        ({"model": {"phi": "0.5"}}, "model.phi"),
+        ({"riesz": {"s": None}}, "riesz.s"),
+        ({"n_values": [10, None]}, "n_values[1]"),
+        ({"n_seeds": True}, "n_seeds"),
+        ({"proposal": 0.1}, "proposal"),
+    ])
+    def test_nested_keys_and_types_checked(self, tmp_path, options, path):
+        cfg = _write(tmp_path, "c.json", json.dumps(options))
+        with pytest.raises(ConfigError, match=path.replace("[", r"\[")):
+            load_config("filter-lgss", cfg)
+
+    def test_numbers_interchange_and_null_default_takes_number(
+            self, tmp_path):
+        path = _write(tmp_path, "c.json", json.dumps({
+            "T": 30.0, "model": {"phi": 1}, "n_values": [10, 20.0]}))
+        assert load_config("filter-lgss", path).options["model"]["phi"] == 1
+        for burn_in in (None, 10):
+            path = _write(tmp_path, "p.json", json.dumps({"burn_in": burn_in}))
+            assert load_config("pmh-lgss", path).options["burn_in"] == burn_in
 
     def test_invalid_json(self, tmp_path):
         path = _write(tmp_path, "c.json", "{not json")
@@ -257,6 +294,13 @@ class TestMain:
         ("filter-lgss", {"n_values": [0]}),
         ("pmh-lgss", {"step_sizes": [-0.1], "iterations": 5, "T": 5}),
         ("pmh-sv", {"step_sizes": [1.0, -0.05, 0.03], "iterations": 5}),
+        ("filter-lgss", {"proposal": {"jitter": None}}),
+        ("filter-lgss", {"riesz": {"s": None}}),
+        ("filter-lgss", {"proposal": {"jiter": 0.5}}),
+        ("filter-lgss", {"sampler": {"candidate_cout": 8}}),
+        ("filter-lgss", {"proposal": {"mode": "frozen"}}),
+        ("filter-lgss", {"proposal": {"index_mode": "modulo",
+                                      "resampling": "systematic"}}),
     ])
     def test_invalid_option_values_exit_2(self, tmp_path, capsys,
                                           experiment, options):
@@ -291,3 +335,59 @@ class TestMain:
             assert exc.value.code == 0
             outs.append((tmp_path / name / "results.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+# SHA-256 of results.csv and every plotdata/*.csv for tiny seeded runs of
+# each subcommand (summary.json holds a runtime and is left out).  They are
+# float results of one platform, x86-64 with numpy 2.4 and scipy 1.17, and
+# may need re-recording elsewhere.
+_PINNED = {
+    "generate-points": ({"n_points": 20}, {
+        "results.csv": "b65ddd6e8974b38e7d77ce3f0f253215f1803fca042f322acb8ae95eee37e2d7",
+        "plotdata/energy_trace.csv": "d944d5bdc959f91b4f2e02bacd491583423823374d76dfe4f0438b9b13a3b1d3",
+        "plotdata/qq.csv": "ff8e4a87ef05619ab78ab74ec1638dcafd4f309bca364ed82986ae34b66d3293",
+    }),
+    "diagnostics": ({"n_values": [10, 20]}, {
+        "results.csv": "9ca6f91ae80993b299f16c8306d2178363b6895bb0c692181315d0df688be154",
+        "plotdata/qq.csv": "6bb3d32975513fc350443217b48c356290aeb28e6f737f28f9b0a398e69756a8",
+    }),
+    "filter-lgss": ({"T": 15, "n_values": [10, 20], "n_seeds": 2,
+                     "n_riesz": 10}, {
+        "results.csv": "43c9b546a1ba212a2f23b01474d8d767e389d72f630c19704d54813d5858bb3b",
+        "plotdata/ess.csv": "6039d683936d9427b025e5b816aa2a57a971616953be4684e49094a37fe670b3",
+        "plotdata/filtered.csv": "1c9168bc1335623780b1b7f9cbfd23202005be281a7664c5e1c2ef0d517a7e04",
+    }),
+    "pmh-lgss": ({"T": 10, "iterations": 20, "burn_in": 5,
+                  "n_particles": 20, "n_riesz": 10, "max_lag": 5,
+                  "proposal": {"jitter": 0.2, "tail_mix": 0.1,
+                               "index_mode": "modulo", "half_width": 4.0}}, {
+        "results.csv": "97bc08157569ae501580a42ef04772817a481638d425222a442d9e2c928fea2e",
+        "plotdata/acf.csv": "4bdfab3ca6549649dee2ad0d7be3260b422229f56defd34e20627b9d47b11a93",
+        "plotdata/trace.csv": "52402039b47df8b87f778e4539186d3917cd1403ade9011d720ed9f0ff87f07e",
+    }),
+    "pmh-sv": ({"iterations": 10, "burn_in": 2, "n_particles": 20,
+                "n_riesz": 10, "max_lag": 5,
+                "proposal": {"jitter": 0.2, "tail_mix": 0.1,
+                             "half_width": 4.0,
+                             "resampling": "systematic"}}, {
+        "results.csv": "a089c27186247eb161bb81c3ef50e68ac727906f3408225a36a3d0fe4821e058",
+        "plotdata/acf.csv": "9bd2c9b619cf8f61f262b3744d0d4647550c50c5a59810ef72f6ecde622e963d",
+        "plotdata/trace.csv": "f5ec87f43bc95d4c355823808351bf67160434ad51be0135daafac518c74e021",
+        "plotdata/volatility.csv": "c9bad87fe28322d8da238c96a5fdee61b7f57042297363d9b92c5f259a0cc797",
+    }),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_PINNED))
+def test_seeded_outputs_are_pinned(tmp_path, experiment):
+    options, want = _PINNED[experiment]
+    cfg_path = _write(tmp_path, "c.json", json.dumps(options))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, "--config", str(cfg_path), "--seed", "3",
+              "--output", str(out)])
+    assert exc.value.code == 0
+    files = [out / "results.csv", *sorted((out / "plotdata").glob("*.csv"))]
+    got = {f.relative_to(out).as_posix():
+           hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+    assert got == want

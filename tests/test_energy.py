@@ -14,7 +14,6 @@ from rieszmc import (
     config_energy,
     covering_radius,
     log_pair_energy,
-    log_pair_weight,
     min_separation,
     uniformity_statistic,
 )
@@ -50,34 +49,38 @@ class TestRieszParams:
 
 
 class TestLogPairWeight:
+    """The weight factor of log_pair_energy: energy + s * log r."""
+
     def test_unit_bracket(self):
         # k_i k_j = 0.5, r = 0.25 -> bracket = 1 -> 1^-20 = 1
-        assert log_pair_weight([0.0], [0.25], 1.0, 0.5, P40) == 1.0
+        got = log_pair_energy([0.0], [0.25], 1.0, 0.5, P40)
+        assert got + 40.0 * math.log(0.25) == pytest.approx(1.0, rel=1e-13)
 
     def test_large_bracket_weight_tends_to_one(self):
-        # bracket 10 -> 10^-20, i.e. the weight itself tends to 1
+        # r = 1 leaves the weight alone; bracket 10 -> 10^-20, i.e. the
+        # weight itself tends to 1
         xi, xj = [0.0], [1.0]
-        lw = log_pair_weight(xi, xj, 2.0, 4.0, P40)  # bracket = 8 + 2 = 10
+        lw = log_pair_energy(xi, xj, 2.0, 4.0, P40)  # bracket = 8 + 2 = 10
         assert lw == pytest.approx(10.0 ** -20, rel=1e-12)
         assert math.exp(lw) == pytest.approx(1.0, abs=1e-15)
 
     def test_against_extended_precision(self):
         import mpmath as mp
         # kappa product 0.2, r = 0.5 -> bracket 1.2
-        got = log_pair_weight([0.1], [0.6], 0.4, 0.5, P40)
+        got = log_pair_energy([0.25], [0.75], 0.4, 0.5, P40)
         with mp.workdps(50):
-            want = float(mp.mpf("1.2") ** -20)
+            want = float(mp.mpf("1.2") ** -20 - 40 * mp.log(mp.mpf("0.5")))
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_degenerate_distance(self):
         with pytest.raises(DegenerateDistance):
-            log_pair_weight([0.3], [0.3], 1.0, 1.0, P40)
+            log_pair_energy([0.3], [0.3], 1.0, 1.0, P40)
 
     def test_non_positive_bracket(self):
         p = RieszParams(s=40.0, d=1, alpha=-1.0, beta=2.0)
         # bracket = -4 + 2 * 0.5 = -3
         with pytest.raises(NonPositiveBracket):
-            log_pair_weight([0.0], [0.5], 2.0, 2.0, p)
+            log_pair_energy([0.0], [0.5], 2.0, 2.0, p)
 
 
 class TestLogPairEnergy:

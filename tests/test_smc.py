@@ -5,12 +5,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import chi2
 
 from rieszmc import (
     LgssFilterModel,
     LgssParams,
-    ParticleSystem,
+    PointConfiguration,
+    ProposalSpec,
     RieszParams,
     RieszProposalSet,
     SamplerConfig,
@@ -20,8 +22,6 @@ from rieszmc import (
     lgss_simulate,
     log_bias_mse,
     multinomial_resample,
-    propagate_and_weight,
-    riesz_index,
     run_filter,
     sv_simulate,
     systematic_resample,
@@ -87,26 +87,11 @@ class TestSystematicResample:
             systematic_resample([0.7, 0.7], np.random.default_rng(33))
 
 
-class TestRieszIndex:
-    def test_basic(self):
-        assert riesz_index(0, 100) == 0
-        assert riesz_index(250, 100) == 50
-
-    def test_sweep_counts(self):
-        hits = np.bincount([riesz_index(i, 100) for i in range(1000)],
-                           minlength=100)
-        assert np.all(hits == 10)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            riesz_index(3, 0)
-
-
 class TestRieszProposalSet:
     @pytest.mark.parametrize("tail_mix", [0.0, 0.05, 0.5, 1.0])
     def test_logpdf_integrates_to_one(self, pset50, tail_mix):
-        pset = RieszProposalSet(pset50.configuration, jitter=0.1,
-                                tail_mix=tail_mix)
+        pset = RieszProposalSet(pset50.configuration,
+                                ProposalSpec(jitter=0.1, tail_mix=tail_mix))
         grid = np.linspace(-9.0, 9.0, 40_001)
         means = np.full_like(grid, 0.3)
         stds = np.full_like(grid, 0.7)
@@ -121,8 +106,8 @@ class TestRieszProposalSet:
                                                        tail_mix):
         # brute-force sum over all N' Laplace kernels at 50 digits; the
         # bound is ten times the conditioning ulp(|r| / b) at |r| = 30
-        pset = RieszProposalSet(pset50.configuration, jitter=0.1,
-                                tail_mix=tail_mix)
+        pset = RieszProposalSet(pset50.configuration,
+                                ProposalSpec(jitter=0.1, tail_mix=tail_mix))
         z = pset50.configuration.points[:, 0]
         on_z = z[[0, 17, 49]]
         r = np.concatenate(([-1.3, 0.2, 2.1], on_z, [8.0, -8.0, 30.0, -30.0]))
@@ -145,7 +130,8 @@ class TestRieszProposalSet:
                 assert abs(gi - float(want)) <= 1e-12, (float(ri), gi)
 
     def test_pure_gaussian_limit(self, pset50):
-        pset = RieszProposalSet(pset50.configuration, tail_mix=1.0)
+        pset = RieszProposalSet(pset50.configuration,
+                                ProposalSpec(tail_mix=1.0))
         x = np.array([0.3, -1.0, 2.0])
         means = np.array([0.0, 0.5, 1.0])
         stds = np.array([1.0, 2.0, 0.5])
@@ -167,36 +153,43 @@ class TestRieszProposalSet:
         assert x.mean() == pytest.approx(mean_want, abs=0.02)
         assert x.var() == pytest.approx(var_want, rel=0.03)
 
-    def test_modulo_assignment_uses_riesz_index(self, pset50):
-        pset = RieszProposalSet(pset50.configuration, jitter=1e-12,
-                                tail_mix=0.0, index_mode="modulo")
+    def test_modulo_assignment(self, pset50):
+        pset = RieszProposalSet(pset50.configuration, ProposalSpec(
+            jitter=1e-12, tail_mix=0.0, index_mode="modulo"))
         n = 120
         rng = np.random.default_rng(9)
         x, idx = pset.sample(np.zeros(n), np.ones(n), rng)
-        want = np.array([riesz_index(i, pset.size) for i in range(n)])
+        want = np.arange(n) % pset.size
         assert np.array_equal(idx, want)
         assert np.allclose(x, pset._z[want], atol=1e-9)
 
-    def test_scalar_wrapper_matches_vector_path(self, pset50):
-        got = pset50.proposal_logpdf(0.4, (0.1, 0.9))
-        want = float(pset50.logpdf(np.array([0.4]), np.array([0.1]),
-                                   np.array([0.9]))[0])
-        assert got == want
-
     def test_validation(self, pset50):
         with pytest.raises(ValueError):
-            RieszProposalSet(pset50.configuration, jitter=0.0)
+            ProposalSpec(jitter=0.0)
         with pytest.raises(ValueError):
-            RieszProposalSet(pset50.configuration, tail_mix=1.5)
+            ProposalSpec(tail_mix=1.5)
         with pytest.raises(ValueError):
-            RieszProposalSet(pset50.configuration, index_mode="bogus")
+            ProposalSpec(index_mode="bogus")
+        with pytest.raises(ValueError):
+            ProposalSpec(resampling="bogus")
+        with pytest.raises(ValueError):
+            RieszProposalSet(PointConfiguration(np.array([[0.0]]),
+                                                np.array([1.0]), 1))
+
+    def test_modulo_with_systematic_resampling_rejected(self):
+        # systematic resampling gives an ancestor's offspring a contiguous
+        # block of indices, so i mod N' would depend on the ancestor
+        with pytest.raises(ValueError, match="modulo"):
+            ProposalSpec(index_mode="modulo", resampling="systematic")
+        ProposalSpec(index_mode="modulo", resampling="multinomial")
+        ProposalSpec(index_mode="random", resampling="systematic")
 
 
 class _SingleParticleModel:
     """f, g and frames chosen so the weight identity is directly checkable."""
 
     def initial_states(self, n, rng):
-        return np.zeros(n)
+        return np.full(n, 0.2)
 
     def transition_logpdf(self, x, x_prev):
         return -0.5 * (x - x_prev) ** 2 - 0.5 * math.log(2 * math.pi)
@@ -213,75 +206,72 @@ class _DeadModel(_SingleParticleModel):
         return np.full(np.shape(x), -np.inf)
 
 
+class _SpreadLgssModel(LgssFilterModel):
+    def initial_states(self, n, rng):
+        return np.linspace(-0.2, 0.2, n)
+
+
 class TestPropagateAndWeight:
+    """One propagate/weight step: run_filter on a single observation."""
+
     def test_kalman_one_step_predictive(self, pset50):
         # optimal proposal as q (tail_mix = 1): every weight equals
         # p(y | x_prev), so with identical ancestors the increment is the
         # exact one-step predictive log-density
         model = LgssFilterModel(PAPER, x0=0.4)
         n = 64
-        ps = ParticleSystem.initial(np.full(n, 0.4))
-        pset = RieszProposalSet(pset50.configuration, tail_mix=1.0)
+        pset = RieszProposalSet(pset50.configuration,
+                                ProposalSpec(tail_mix=1.0))
         y = 1.3
-        new_ps, inc = propagate_and_weight(ps, y, model, pset,
-                                           np.random.default_rng(0))
+        out = run_filter(model, [y], n, 50, RP, SCFG,
+                         np.random.default_rng(0), proposal_set=pset)
         want = kalman_filter(PAPER, [y], 0.4, 0.0).log_likelihood
-        assert inc == pytest.approx(want, abs=1e-12)
-        assert new_ps.t == 1
-        assert new_ps.ess == pytest.approx(n, rel=1e-12)
-        assert new_ps.normalized_weights.sum() == pytest.approx(1.0,
-                                                                abs=1e-12)
+        assert out.log_likelihood == pytest.approx(want, abs=1e-12)
+        assert out.ess_trace.shape == (1,)
+        assert out.ess_trace[0] == pytest.approx(n, rel=1e-12)
 
     def test_single_particle_identity(self, pset50):
         model = _SingleParticleModel()
-        ps = ParticleSystem.initial(np.array([0.2]))
-        pset = RieszProposalSet(pset50.configuration, tail_mix=0.3)
-        rng = np.random.default_rng(1)
+        pset = RieszProposalSet(pset50.configuration,
+                                ProposalSpec(tail_mix=0.3))
         y = 0.9
-        new_ps, inc = propagate_and_weight(ps, y, model, pset, rng)
-        x = new_ps.particles[0]
+        out = run_filter(model, [y], 1, 50, RP, SCFG,
+                         np.random.default_rng(1), proposal_set=pset)
+        # replay the step's draws: one resampling uniform, then the proposal
+        rng = np.random.default_rng(1)
+        rng.random(1)
         means, stds = model.proposal_moments(np.array([0.2]), y)
+        x, _ = pset.sample(means, stds, rng)
         want = (model.observation_logpdf(y, x)
                 + model.transition_logpdf(x, 0.2)
-                - pset.logpdf(np.array([x]), means, stds))[0]
-        assert inc == pytest.approx(float(want), rel=1e-12)
+                - pset.logpdf(x, means, stds))[0]
+        assert out.filtered_means[0] == x[0]
+        assert out.log_likelihood == pytest.approx(float(want), rel=1e-12)
 
     def test_all_weights_zero(self, pset50):
-        ps = ParticleSystem.initial(np.zeros(8))
         with pytest.raises(AllWeightsZero):
-            propagate_and_weight(ps, 0.0, _DeadModel(), pset50,
-                                 np.random.default_rng(2))
+            run_filter(_DeadModel(), [0.0], 8, 50, RP, SCFG,
+                       np.random.default_rng(2), proposal_set=pset50)
 
     def test_riesz_weights_match_ratio_definition(self, pset50):
-        model = LgssFilterModel(PAPER, x0=0.0)
+        model = _SpreadLgssModel(PAPER, x0=0.0)
         n = 32
-        ps = ParticleSystem.initial(np.linspace(-0.2, 0.2, n))
+        out = run_filter(model, [0.7], n, 50, RP, SCFG,
+                         np.random.default_rng(3), proposal_set=pset50)
         rng = np.random.default_rng(3)
-        new_ps, _ = propagate_and_weight(ps, 0.7, model, pset50,
-                                         np.random.default_rng(3))
-        means, stds = model.proposal_moments(ps.particles, 0.7)
-        x, _ = pset50.sample(means, stds, np.random.default_rng(3))
-        want = (model.observation_logpdf(0.7, x)
-                + model.transition_logpdf(x, ps.particles)
-                - pset50.logpdf(x, means, stds))
-        assert np.allclose(new_ps.log_weights, want, rtol=1e-12)
-
-
-class TestParticleSystem:
-    def test_weight_sum_validation(self):
-        with pytest.raises(UnnormalizedWeights):
-            ParticleSystem(np.zeros(3), np.zeros(3),
-                           np.array([0.5, 0.4, 0.2]), np.zeros(3, int), 0)
-
-    def test_ancestor_bounds(self):
-        with pytest.raises(ValueError):
-            ParticleSystem(np.zeros(3), np.zeros(3), np.full(3, 1 / 3),
-                           np.array([0, 1, 3]), 0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            ParticleSystem(np.zeros(3), np.zeros(2), np.full(3, 1 / 3),
-                           np.zeros(3, int), 0)
+        x_prev = model.initial_states(n, rng)[
+            multinomial_resample(np.full(n, 1.0 / n), rng)]
+        means, stds = model.proposal_moments(x_prev, 0.7)
+        x, _ = pset50.sample(means, stds, rng)
+        log_w = (model.observation_logpdf(0.7, x)
+                 + model.transition_logpdf(x, x_prev)
+                 - pset50.logpdf(x, means, stds))
+        w = np.exp(log_w - logsumexp(log_w))
+        assert out.log_likelihood == pytest.approx(
+            logsumexp(log_w) - math.log(n), rel=1e-12)
+        assert out.filtered_means[0] == pytest.approx(w @ x, rel=1e-12)
+        assert out.ess_trace[0] == pytest.approx(1.0 / np.sum(w ** 2),
+                                                 rel=1e-12)
 
 
 class TestRunFilter:
@@ -313,7 +303,8 @@ class TestRunFilter:
         traj = lgss_simulate(PAPER, 5, 0.0, np.random.default_rng(7))
         ko = kalman_filter(PAPER, traj.observations, 0.0, 0.0)
         model = LgssFilterModel(PAPER, 0.0)
-        pset = RieszProposalSet(pset50.configuration, tail_mix=1.0)
+        pset = RieszProposalSet(pset50.configuration,
+                                ProposalSpec(tail_mix=1.0))
         ratios = []
         for seed in range(40):
             out = run_filter(model, traj.observations, 400, 50, RP, SCFG,
@@ -331,7 +322,8 @@ class TestRunFilter:
         traj = lgss_simulate(PAPER, 3, 0.0, np.random.default_rng(5))
         ko = kalman_filter(PAPER, traj.observations, 0.0, 0.0)
         model = LgssFilterModel(PAPER, 0.0)
-        pset = RieszProposalSet(pset50.configuration, index_mode="modulo")
+        pset = RieszProposalSet(pset50.configuration,
+                                ProposalSpec(index_mode="modulo"))
         ratios = np.array([
             math.exp(run_filter(model, traj.observations, n, 50, RP, SCFG,
                                 np.random.default_rng(seed),
@@ -371,18 +363,23 @@ class TestRunFilter:
             variances[n] = np.var(lls, ddof=1)
         assert variances[1000] < variances[10]
 
-    def test_determinism_frozen_and_regenerate(self):
+    def test_determinism(self):
         traj = lgss_simulate(PAPER, 8, 0.0, np.random.default_rng(9))
         model = LgssFilterModel(PAPER, 0.0)
         small = SamplerConfig(n_points=20, candidate_count=64, seed=2)
-        for mode in ("frozen", "regenerate"):
-            a = run_filter(model, traj.observations, 30, 20, RP, small,
-                           np.random.default_rng(11), mode=mode)
-            b = run_filter(model, traj.observations, 30, 20, RP, small,
-                           np.random.default_rng(11), mode=mode)
-            assert a.log_likelihood == b.log_likelihood
-            assert np.array_equal(a.filtered_means, b.filtered_means)
-            assert np.array_equal(a.ess_trace, b.ess_trace)
+        a = run_filter(model, traj.observations, 30, 20, RP, small,
+                       np.random.default_rng(11))
+        b = run_filter(model, traj.observations, 30, 20, RP, small,
+                       np.random.default_rng(11))
+        assert a.log_likelihood == b.log_likelihood
+        assert np.array_equal(a.filtered_means, b.filtered_means)
+        assert np.array_equal(a.ess_trace, b.ess_trace)
+
+    def test_only_the_frozen_mode_is_accepted(self, pset50):
+        with pytest.raises(ValueError, match="frozen"):
+            run_filter(LgssFilterModel(PAPER, 0.0), [0.1], 10, 50, RP, SCFG,
+                       np.random.default_rng(0), mode="regenerate",
+                       proposal_set=pset50)
 
     def test_sv_filter_agrees_with_bootstrap_oracle(self):
         from rieszmc import sv_observation_logpdf
@@ -451,15 +448,15 @@ class TestRunFilter:
         traj = lgss_simulate(PAPER, 10, 0.0, np.random.default_rng(16))
         ko = kalman_filter(PAPER, traj.observations, 0.0, 0.0)
         model = LgssFilterModel(PAPER, 0.0)
+        pset = RieszProposalSet(pset50.configuration,
+                                ProposalSpec(resampling="systematic"))
         out = run_filter(model, traj.observations, 200, 50, RP, SCFG,
                          np.random.default_rng(17), mode="frozen",
-                         proposal_set=pset50, resampling="systematic")
+                         proposal_set=pset)
         assert np.isfinite(out.log_likelihood)
         assert abs(out.log_likelihood - ko.log_likelihood) < 2.0
         with pytest.raises(ValueError):
-            run_filter(model, traj.observations, 20, 50, RP, SCFG,
-                       np.random.default_rng(18), mode="frozen",
-                       proposal_set=pset50, resampling="bogus")
+            ProposalSpec(resampling="bogus")
 
 
 class TestLogBiasMse:
