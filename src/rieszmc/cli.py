@@ -5,6 +5,12 @@ Each run writes results.csv, summary.json and plotdata/*.csv into the output
 directory.  Floats are emitted with 17 significant digits, so a fixed config
 and seed reproduce results.csv byte for byte.
 
+Config values arrive typed like their defaults (see ``_merge``).  The
+``riesz``, ``sampler`` and ``proposal`` sections are the fields of
+``RieszParams``, ``SamplerConfig`` and ``ProposalSpec``; a run that filters
+builds one ``RieszProposalSet`` from them, and every filter pass of the run,
+each chain's and the volatility filter's, draws through that one set.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
 
@@ -16,7 +22,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import date as _date
 from importlib import resources
 from pathlib import Path
@@ -64,12 +70,11 @@ from .ssm import LgssParams, kalman_filter, lgss_simulate
 EXPERIMENTS = ("generate-points", "filter-lgss", "pmh-lgss", "pmh-sv",
                "diagnostics")
 
-_RIESZ_DEFAULTS = {"s": 40.0, "d": 1, "alpha": 1.0, "beta": 2.0,
-                   "eps_dist": 1e-9}
-_SAMPLER_DEFAULTS = {"candidate_count": 512, "refine_iters": 0,
-                     "max_retries": 64}
-_PROPOSAL_DEFAULTS = {"jitter": 0.1, "tail_mix": 0.05, "index_mode": "random",
-                      "half_width": 5.0, "resampling": "multinomial"}
+# the library's own defaults; load_config deep-copies DEFAULTS before use
+_RIESZ = asdict(RieszParams())
+_SAMPLER = {f.name: f.default for f in fields(SamplerConfig)
+            if f.name not in ("n_points", "seed")}
+_PROPOSAL = asdict(ProposalSpec())
 
 DEFAULTS = {
     "generate-points": {
@@ -81,8 +86,8 @@ DEFAULTS = {
         "box": [0.0, 1.0],
         "quantile_mapped": True,
         "covering_resolution": 1000,
-        "riesz": dict(_RIESZ_DEFAULTS),
-        "sampler": dict(_SAMPLER_DEFAULTS),
+        "riesz": _RIESZ,
+        "sampler": _SAMPLER,
     },
     "filter-lgss": {
         "model": {"phi": 0.75, "sigma_v": 1.0, "sigma_o": 0.1, "x0": 0.0},
@@ -91,9 +96,9 @@ DEFAULTS = {
         "n_values": [10, 20, 50, 100, 200, 500, 1000],
         "n_riesz": 100,
         "n_seeds": 10,
-        "proposal": dict(_PROPOSAL_DEFAULTS),
-        "riesz": dict(_RIESZ_DEFAULTS),
-        "sampler": dict(_SAMPLER_DEFAULTS),
+        "proposal": _PROPOSAL,
+        "riesz": _RIESZ,
+        "sampler": _SAMPLER,
     },
     "pmh-lgss": {
         "model": {"phi": 0.75, "sigma_v": 1.0, "sigma_o": 0.1, "x0": 0.0},
@@ -107,9 +112,9 @@ DEFAULTS = {
         "n_particles": 100,
         "n_riesz": 100,
         "max_lag": 50,
-        "proposal": dict(_PROPOSAL_DEFAULTS),
-        "riesz": dict(_RIESZ_DEFAULTS),
-        "sampler": dict(_SAMPLER_DEFAULTS),
+        "proposal": _PROPOSAL,
+        "riesz": _RIESZ,
+        "sampler": _SAMPLER,
     },
     "pmh-sv": {
         "returns_scale": 100.0,
@@ -123,9 +128,9 @@ DEFAULTS = {
         "n_particles": 200,
         "n_riesz": 180,
         "max_lag": 50,
-        "proposal": dict(_PROPOSAL_DEFAULTS),
-        "riesz": dict(_RIESZ_DEFAULTS),
-        "sampler": dict(_SAMPLER_DEFAULTS),
+        "proposal": _PROPOSAL,
+        "riesz": _RIESZ,
+        "sampler": _SAMPLER,
     },
     "diagnostics": {
         "n_values": [20, 50, 100, 200],
@@ -135,8 +140,8 @@ DEFAULTS = {
         "half_width": 5.0,
         "quantile_mapped": True,
         "covering_resolution": 1000,
-        "riesz": dict(_RIESZ_DEFAULTS),
-        "sampler": dict(_SAMPLER_DEFAULTS),
+        "riesz": _RIESZ,
+        "sampler": _SAMPLER,
     },
 }
 
@@ -168,8 +173,9 @@ class ReturnsSeries:
 # ---------------------------------------------------------------------------
 # configuration
 
-_JSON_TYPES = ((type(None), "null"), (bool, "boolean"), ((int, float), "number"),
-               (str, "string"), (list, "array"), (dict, "object"))
+_JSON_TYPES = ((type(None), "null"), (bool, "boolean"), (int, "integer"),
+               (float, "number"), (str, "string"), (list, "array"),
+               (dict, "object"))
 
 
 def _json_type(value) -> str:
@@ -177,15 +183,23 @@ def _json_type(value) -> str:
 
 
 def _merge(default, given, path: str = ""):
-    """``given`` merged over ``default`` at any depth.
+    """``given`` merged over ``default`` at any depth, typed like the default.
 
     A key absent from the defaults, or a value whose JSON type differs from
-    the default's, is a ConfigError naming its dotted path.  A null default
-    takes a number or null; a list's items take the type of the default's
-    items.
+    the default's, is a ConfigError naming its dotted path.  An integer
+    default takes an integer or an integral number, returned as an int; a
+    number default takes an integer or a number, returned as a float.  The
+    null default (``burn_in``, a count) takes null or an integer.  A list
+    must not be empty, and its items take the type of the default's items.
     """
     want, got = _json_type(default), _json_type(given)
-    allowed = ("null", "number") if want == "null" else (want,)
+    if want in ("integer", "null") and got == "number" and given.is_integer():
+        given, got = int(given), "integer"
+    elif want == "number" and got == "integer":
+        if abs(given) > sys.float_info.max:
+            raise ConfigError(f"config key {path} is out of range")
+        given, got = float(given), "number"
+    allowed = ("null", "integer") if want == "null" else (want,)
     if got not in allowed:
         raise ConfigError(f"config key {path} must be {' or '.join(allowed)}, "
                           f"not {got}")
@@ -196,9 +210,11 @@ def _merge(default, given, path: str = ""):
             raise ConfigError(f"unknown config keys: {unknown}")
         return {**default, **{key: _merge(default[key], value, prefix + key)
                               for key, value in given.items()}}
-    if want == "array" and default:
-        for i, item in enumerate(given):
-            _merge(default[0], item, f"{path}[{i}]")
+    if want == "array":
+        if not given:
+            raise ConfigError(f"config key {path} must not be empty")
+        return [_merge(default[0], item, f"{path}[{i}]")
+                for i, item in enumerate(given)]
     return given
 
 
@@ -228,6 +244,8 @@ def load_config(experiment: str, config_path=None, seed=None,
                 f"is '{experiment}'"
             )
         file_seed = raw.pop("seed", None)
+        if file_seed is not None:
+            file_seed = _merge(0, file_seed, "seed")
         file_output = raw.pop("output_dir", None)
         file_input = raw.pop("input_path", None)
         options = _merge(options, raw)
@@ -342,34 +360,21 @@ def load_prices_csv(path) -> ReturnsSeries:
 # ---------------------------------------------------------------------------
 # experiment building blocks
 
-def _build_riesz(options: dict) -> RieszParams:
-    r = options["riesz"]
-    return RieszParams(s=float(r["s"]), d=int(r["d"]),
-                       alpha=float(r["alpha"]), beta=float(r["beta"]),
-                       eps_dist=float(r["eps_dist"]))
-
-
-def _build_sampler(options: dict, n_points: int, seed: int) -> SamplerConfig:
-    s = options["sampler"]
-    return SamplerConfig(n_points=n_points,
-                         candidate_count=int(s["candidate_count"]),
-                         refine_iters=int(s["refine_iters"]),
-                         max_retries=int(s["max_retries"]),
-                         seed=seed)
+def _child_seeds(ss: np.random.SeedSequence, k: int) -> list[int]:
+    return [int(child.generate_state(1)[0]) for child in ss.spawn(k)]
 
 
 def _build_target(options: dict):
     """Target oracle plus cdf/quantile transforms for named 1-D targets."""
     target = options["target"]
     if target == "normal":
-        mean, std = float(options["mean"]), float(options["std"])
-        hw = float(options["half_width"])
-        oracle = DensityOracle.gaussian(mean, std, hw)
+        mean, std = options["mean"], options["std"]
+        oracle = DensityOracle.gaussian(mean, std, options["half_width"])
         return (oracle,
                 lambda x: ndtr((np.asarray(x) - mean) / std),
                 lambda u: mean + std * ndtri(np.asarray(u)))
     if target == "uniform":
-        lo, hi = (float(v) for v in options["box"])
+        lo, hi = options["box"]
         oracle = DensityOracle.uniform_box([lo], [hi])
         width = hi - lo
         return (oracle,
@@ -380,9 +385,9 @@ def _build_target(options: dict):
 
 def _generate(options: dict, n_points: int, seed: int):
     oracle, cdf_fn, quantile_fn = _build_target(options)
-    params = _build_riesz(options)
-    cfg = _build_sampler(options, n_points, seed)
-    if options.get("quantile_mapped", True):
+    params = RieszParams(**options["riesz"])
+    cfg = SamplerConfig(n_points=n_points, seed=seed, **options["sampler"])
+    if options["quantile_mapped"]:
         report = quantile_mapped_configuration(oracle, cdf_fn, quantile_fn,
                                                params, cfg)
     else:
@@ -415,19 +420,23 @@ def _qq_pairs(config, quantile_fn):
     return list(zip(theoretical, pts))
 
 
-def _proposal_spec(options: dict) -> ProposalSpec:
-    return ProposalSpec(**options["proposal"])
+def _proposal_set(opt: dict, seed: int) -> RieszProposalSet:
+    """The run's one proposal set: n_riesz points from the riesz, sampler
+    and proposal sections, generated with ``seed``."""
+    n_riesz = opt["n_riesz"]
+    return RieszProposalSet.standard_normal(
+        n_riesz, RieszParams(**opt["riesz"]),
+        SamplerConfig(n_points=n_riesz, seed=seed, **opt["sampler"]),
+        ProposalSpec(**opt["proposal"]))
 
 
 def _lgss_data(options: dict):
     """LGSS parameters, x0 and the simulated record of a config."""
     m = options["model"]
-    params = LgssParams(float(m["phi"]), float(m["sigma_v"]),
-                        float(m["sigma_o"]))
-    x0 = float(m["x0"])
-    traj = lgss_simulate(params, int(options["T"]), x0,
-                         np.random.default_rng(int(options["data_seed"])))
-    return params, x0, traj
+    params = LgssParams(m["phi"], m["sigma_v"], m["sigma_o"])
+    traj = lgss_simulate(params, options["T"], m["x0"],
+                         np.random.default_rng(options["data_seed"]))
+    return params, m["x0"], traj
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +445,7 @@ def _lgss_data(options: dict):
 def _run_generate_points(cfg: ExperimentConfig) -> dict:
     opt = cfg.options
     report, oracle, cdf_fn, quantile_fn, params = _generate(
-        opt, int(opt["n_points"]), cfg.seed)
+        opt, opt["n_points"], cfg.seed)
     config = report.configuration
     rows = [(i, config.points[i, 0], config.kappa_values[i])
             for i in range(config.n)]
@@ -447,7 +456,7 @@ def _run_generate_points(cfg: ExperimentConfig) -> dict:
                ["step", "log_energy"],
                list(enumerate(report.energy_trace, start=1)))
     return _config_diagnostics(report, oracle, cdf_fn, params,
-                               int(opt["covering_resolution"]))
+                               opt["covering_resolution"])
 
 
 def _run_diagnostics(cfg: ExperimentConfig) -> dict:
@@ -457,16 +466,15 @@ def _run_diagnostics(cfg: ExperimentConfig) -> dict:
     rows = []
     qq_rows = []
     summary_rows = []
-    ss = np.random.SeedSequence(cfg.seed)
-    for n, child in zip(opt["n_values"], ss.spawn(len(opt["n_values"]))):
-        report, oracle, cdf_fn, quantile_fn, params = _generate(
-            opt, int(n), int(child.generate_state(1)[0]))
+    seeds = _child_seeds(np.random.SeedSequence(cfg.seed), len(opt["n_values"]))
+    for n, seed in zip(opt["n_values"], seeds):
+        report, oracle, cdf_fn, quantile_fn, params = _generate(opt, n, seed)
         diag = _config_diagnostics(report, oracle, cdf_fn, params,
-                                   int(opt["covering_resolution"]))
-        rows.append((int(n), diag["min_separation"], diag["covering_radius"],
+                                   opt["covering_resolution"])
+        rows.append((n, diag["min_separation"], diag["covering_radius"],
                      diag["ks_statistic"], diag["log_energy"],
                      diag["separation_product"]))
-        qq_rows.extend((int(n), t, e) for t, e in
+        qq_rows.extend((n, t, e) for t, e in
                        _qq_pairs(report.configuration, quantile_fn))
         summary_rows.append(diag)
     _write_csv(cfg.output_dir / "results.csv", header, rows)
@@ -478,25 +486,18 @@ def _run_diagnostics(cfg: ExperimentConfig) -> dict:
 def _run_filter_lgss(cfg: ExperimentConfig) -> dict:
     opt = cfg.options
     params, x0, traj = _lgss_data(opt)
-    T = int(opt["T"])
+    T, n_seeds = opt["T"], opt["n_seeds"]
     oracle_out = kalman_filter(params, traj.observations, x0, 0.0)
     model = LgssFilterModel(params, x0)
-    riesz = _build_riesz(opt)
-    n_riesz = int(opt["n_riesz"])
-    n_seeds = int(opt["n_seeds"])
     ss = np.random.SeedSequence(cfg.seed)
-    pset_cfg = _build_sampler(opt, n_riesz,
-                              int(ss.spawn(1)[0].generate_state(1)[0]))
-    pset = RieszProposalSet.standard_normal(n_riesz, riesz, pset_cfg,
-                                            _proposal_spec(opt))
+    pset = _proposal_set(opt, *_child_seeds(ss, 1))
     rows = []
     rep_output = None
     for n in opt["n_values"]:
-        n = int(n)
         filtered = []
         for child in ss.spawn(n_seeds):
             rng = np.random.default_rng(child)
-            out = run_filter(model, traj.observations, n, n_riesz, riesz,
+            out = run_filter(model, traj.observations, n, pset.size, None,
                              None, rng, proposal_set=pset,
                              record_percentiles=rep_output is None)
             if rep_output is None:
@@ -526,27 +527,24 @@ def _run_filter_lgss(cfg: ExperimentConfig) -> dict:
 
 
 def _pmh_common(opt: dict) -> tuple[int, int, int]:
-    iterations = int(opt["iterations"])
+    iterations = opt["iterations"]
     burn_in = opt["burn_in"]
-    burn_in = iterations // 4 if burn_in is None else int(burn_in)
+    if burn_in is None:
+        burn_in = iterations // 4
     if not 0 <= burn_in < iterations:
         raise ConfigError("burn_in must lie in [0, iterations)")
-    max_lag = min(int(opt["max_lag"]), iterations - burn_in - 1)
+    max_lag = min(opt["max_lag"], iterations - burn_in - 1)
     return iterations, burn_in, max_lag
 
 
 def _pmh_chain(opt: dict, family, y, prior, burn_in: int, step_sizes,
-               seed: int):
-    n_riesz = int(opt["n_riesz"])
-    chain_cfg = PmhConfig(iterations=int(opt["iterations"]), burn_in=burn_in,
+               seed: int, pset: RieszProposalSet):
+    chain_cfg = PmhConfig(iterations=opt["iterations"], burn_in=burn_in,
                           step_sizes=step_sizes,
-                          n_particles=int(opt["n_particles"]),
-                          n_riesz=n_riesz, seed=seed)
-    return pmh_run(family, y, prior, chain_cfg,
-                   theta0=np.asarray(opt["theta0"], dtype=float),
-                   riesz_params=_build_riesz(opt),
-                   sampler_cfg=_build_sampler(opt, n_riesz, 0),
-                   proposal_spec=_proposal_spec(opt))
+                          n_particles=opt["n_particles"],
+                          n_riesz=opt["n_riesz"], seed=seed)
+    return pmh_run(family, y, prior, chain_cfg, theta0=opt["theta0"],
+                   proposal_set=pset)
 
 
 def _run_pmh_lgss(cfg: ExperimentConfig) -> dict:
@@ -554,18 +552,19 @@ def _run_pmh_lgss(cfg: ExperimentConfig) -> dict:
     params, x0, traj = _lgss_data(opt)
     family = LgssPhiFamily(params.sigma_v, params.sigma_o, x0)
     prior = IndependentPrior((TruncatedGaussianPrior(
-        float(opt["prior"]["mean"]), float(opt["prior"]["std"]),
-        -1.0, 1.0),))
+        opt["prior"]["mean"], opt["prior"]["std"], -1.0, 1.0),))
     iterations, burn_in, max_lag = _pmh_common(opt)
     results = []
     trace_rows = []
     acf_rows = []
     chains_summary = []
-    ss = np.random.SeedSequence(cfg.seed)
-    for h, child in zip(opt["step_sizes"], ss.spawn(len(opt["step_sizes"]))):
-        h = float(h)
+    step_sizes = opt["step_sizes"]
+    *chain_seeds, pset_seed = _child_seeds(np.random.SeedSequence(cfg.seed),
+                                           len(step_sizes) + 1)
+    pset = _proposal_set(opt, pset_seed)
+    for h, seed in zip(step_sizes, chain_seeds):
         chain = _pmh_chain(opt, family, traj.observations, prior, burn_in,
-                           [h], int(child.generate_state(1)[0]))
+                           [h], seed, pset)
         mean, var = posterior_summary(chain, burn_in)
         lags = acf(chain.samples[burn_in:, 0], max_lag)
         results.extend((h, it, chain.samples[it, 0],
@@ -588,28 +587,28 @@ def _run_pmh_lgss(cfg: ExperimentConfig) -> dict:
     _write_csv(cfg.output_dir / "plotdata" / "acf.csv",
                ["step_size", "lag", "acf"], acf_rows)
     return {"chains": chains_summary, "burn_in": burn_in,
-            "iterations": iterations, "T": int(opt["T"])}
+            "iterations": iterations, "T": opt["T"]}
 
 
 def _run_pmh_sv(cfg: ExperimentConfig) -> dict:
     opt = cfg.options
     path = cfg.input_path if cfg.input_path is not None else bundled_prices_path()
     series = load_prices_csv(path)
-    y = series.log_returns * float(opt["returns_scale"])
-    family = SvFamily(tau=float(opt["tau"]))
-    priors = opt["priors"]
+    y = series.log_returns * opt["returns_scale"]
+    family = SvFamily(tau=opt["tau"])
+    (mu_mean, mu_std), (rho_mean, rho_std), (sv_mean, sv_std) = (
+        opt["priors"][name] for name in SvFamily.theta_names)
     prior = IndependentPrior((
-        GaussianPrior(*map(float, priors["mu"])),
-        TruncatedGaussianPrior(float(priors["rho"][0]),
-                               float(priors["rho"][1]), -1.0, 1.0),
-        TruncatedGaussianPrior(float(priors["sigma_v"][0]),
-                               float(priors["sigma_v"][1]), 0.0, np.inf),
+        GaussianPrior(mu_mean, mu_std),
+        TruncatedGaussianPrior(rho_mean, rho_std, -1.0, 1.0),
+        TruncatedGaussianPrior(sv_mean, sv_std, 0.0, np.inf),
     ))
     iterations, burn_in, max_lag = _pmh_common(opt)
-    ss = np.random.SeedSequence(cfg.seed)
-    chain_seed, vol_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
-    chain = _pmh_chain(opt, family, y, prior, burn_in,
-                       np.asarray(opt["step_sizes"], float), chain_seed)
+    chain_seed, vol_seed, pset_seed = _child_seeds(
+        np.random.SeedSequence(cfg.seed), 3)
+    pset = _proposal_set(opt, pset_seed)
+    chain = _pmh_chain(opt, family, y, prior, burn_in, opt["step_sizes"],
+                       chain_seed, pset)
     mean, var = posterior_summary(chain, burn_in)
     names = SvFamily.theta_names
     _write_csv(cfg.output_dir / "results.csv",
@@ -627,13 +626,9 @@ def _run_pmh_sv(cfg: ExperimentConfig) -> dict:
     _write_csv(cfg.output_dir / "plotdata" / "acf.csv",
                ["parameter", "lag", "acf"], acf_rows)
     # filtered log-volatility with 95% interval at the posterior mean
-    n_riesz = int(opt["n_riesz"])
-    riesz = _build_riesz(opt)
-    vol_set = RieszProposalSet.standard_normal(
-        n_riesz, riesz, _build_sampler(opt, n_riesz, 0), _proposal_spec(opt))
-    vol = run_filter(family.make_model(mean), y, int(opt["n_particles"]),
-                     n_riesz, riesz, None, np.random.default_rng(vol_seed),
-                     proposal_set=vol_set, record_percentiles=True)
+    vol = run_filter(family.make_model(mean), y, opt["n_particles"],
+                     pset.size, None, None, np.random.default_rng(vol_seed),
+                     proposal_set=pset, record_percentiles=True)
     _write_csv(cfg.output_dir / "plotdata" / "volatility.csv",
                ["date", "log_return", "vol_mean", "lo95", "hi95"],
                [(series.dates[t], series.log_returns[t],
@@ -645,8 +640,8 @@ def _run_pmh_sv(cfg: ExperimentConfig) -> dict:
         "acceptance_rate": chain.acceptance_rate,
         "burn_in": burn_in,
         "iterations": iterations,
-        "n_observations": int(len(y)),
-        "returns_scale": float(opt["returns_scale"]),
+        "n_observations": len(y),
+        "returns_scale": opt["returns_scale"],
     }
 
 

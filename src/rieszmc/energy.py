@@ -49,8 +49,8 @@ class RieszParams:
         Minimum pair distance accepted before the pair is degenerate.
     """
 
-    s: float
-    d: int
+    s: float = 40.0
+    d: int = 1
     alpha: float = 1.0
     beta: float = 2.0
     eps_dist: float = 1e-9

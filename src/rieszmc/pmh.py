@@ -8,7 +8,7 @@ estimate untouched on rejection (the pseudo-marginal invariant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,7 +19,6 @@ from .errors import BurnInTooLarge, SeriesTooShort
 from .sampler import SamplerConfig
 from .smc import (
     LgssFilterModel,
-    ProposalSpec,
     RieszProposalSet,
     SvFilterModel,
     run_filter,
@@ -146,14 +145,12 @@ class SvFamily:
 
     theta_names = ("mu", "rho", "sigma_v")
 
-    def __init__(self, tau: float = 1.0, obs_spread: str = "variance"):
+    def __init__(self, tau: float = 1.0):
         self.tau = tau
-        self.obs_spread = obs_spread
 
     def make_model(self, theta) -> SvFilterModel:
         mu, rho, sigma_v = (float(v) for v in np.atleast_1d(theta))
-        return SvFilterModel(SvParams(mu, rho, sigma_v, self.tau,
-                                      self.obs_spread))
+        return SvFilterModel(SvParams(mu, rho, sigma_v, self.tau))
 
     @staticmethod
     def default_prior() -> IndependentPrior:
@@ -190,40 +187,39 @@ def acceptance_log_ratio(current: ChainState, proposed: ChainState,
             - current.log_lik_hat - current.log_prior + log_q_ratio)
 
 
-def pmh_run(family, obs, prior, cfg: PmhConfig, *,
-            theta0, riesz_params: RieszParams | None = None,
-            sampler_cfg: SamplerConfig | None = None,
-            proposal_spec: ProposalSpec = ProposalSpec(),
+def pmh_run(family, obs, prior, cfg: PmhConfig, *, theta0,
+            proposal_set: RieszProposalSet | None = None,
             loglik_fn: Callable | None = None) -> ChainOutput:
     """Run the pseudo-marginal chain; deterministic given cfg.seed.
 
-    Every filter evaluation draws through one proposal set of cfg.n_riesz
-    points, built once from ``proposal_spec``.  ``loglik_fn(theta, rng)``
-    overrides the particle-filter likelihood (used to reduce the chain to
+    Every filter evaluation draws through ``proposal_set``, which must hold
+    cfg.n_riesz points.  The estimate is unbiased given the set, so one set
+    serves every evaluation of the chain.  Without a set the chain builds
+    the default one, ``RieszParams()`` and ``ProposalSpec()`` with a
+    generator seed drawn from cfg.seed.  ``loglik_fn(theta, rng)`` overrides
+    the particle-filter likelihood (used to reduce the chain to
     exact-likelihood MH in tests).  A rejected proposal never overwrites the
     stored likelihood estimate.
     """
     obs = np.asarray(obs, dtype=float)
-    if riesz_params is None:
-        riesz_params = RieszParams(s=40.0, d=1)
-    if sampler_cfg is None:
-        sampler_cfg = SamplerConfig(n_points=cfg.n_riesz)
     ss = np.random.SeedSequence(cfg.seed)
     chain_seed, pset_seed, filt_root = ss.spawn(3)
     rng_chain = np.random.default_rng(chain_seed)
-    if loglik_fn is None:
-        pset_cfg = replace(sampler_cfg,
-                           seed=int(pset_seed.generate_state(1)[0]))
+    if proposal_set is not None and proposal_set.size != cfg.n_riesz:
+        raise ValueError(f"proposal set has {proposal_set.size} points, "
+                         f"cfg.n_riesz is {cfg.n_riesz}")
+    if proposal_set is None and loglik_fn is None:
         proposal_set = RieszProposalSet.standard_normal(
-            cfg.n_riesz, riesz_params, pset_cfg, proposal_spec)
+            cfg.n_riesz, RieszParams(), SamplerConfig(
+                n_points=cfg.n_riesz,
+                seed=int(pset_seed.generate_state(1)[0])))
 
     def evaluate(theta: np.ndarray, rng: np.random.Generator) -> float:
         if loglik_fn is not None:
             return float(loglik_fn(theta, rng))
         model = family.make_model(theta)
-        out = run_filter(model, obs, cfg.n_particles, cfg.n_riesz,
-                         riesz_params, sampler_cfg, rng,
-                         proposal_set=proposal_set)
+        out = run_filter(model, obs, cfg.n_particles, cfg.n_riesz, None,
+                         None, rng, proposal_set=proposal_set)
         return out.log_likelihood
 
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()

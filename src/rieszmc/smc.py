@@ -38,6 +38,8 @@ LOG_ZERO_SENTINEL = -1e9
 
 _BAND_LEVELS = np.array([0.025, 0.975])
 
+_SV_NEWTON_ITERS = 6
+
 
 def _logsumexp_1d(x: np.ndarray) -> float:
     """Bare log-sum-exp; scipy's wrapper is too slow for the filter loop."""
@@ -91,9 +93,8 @@ class SvFilterModel:
     the concave log posterior of x_t.
     """
 
-    def __init__(self, params: SvParams, newton_iters: int = 6):
+    def __init__(self, params: SvParams):
         self.params = params
-        self.newton_iters = newton_iters
 
     def initial_states(self, n: int, rng: np.random.Generator) -> np.ndarray:
         p = self.params
@@ -109,21 +110,16 @@ class SvFilterModel:
         p = self.params
         prior_mean = p.mu + p.rho * (np.asarray(x_prev, dtype=float) - p.mu)
         var_v = p.sigma_v ** 2
-        if p.obs_spread == "variance":
-            # log g(y|x) = -x/2 - y^2 e^{-x}/(2 tau) + const
-            lin, curv_scale = 0.5, y * y / (2.0 * p.tau)
-        else:
-            # variance exp(2x) tau^2: log g = -x - y^2 e^{-2x}/(2 tau^2) + const
-            lin, curv_scale = 1.0, y * y / (2.0 * p.tau ** 2)
-        expo = 1.0 if p.obs_spread == "variance" else 2.0
+        # log g(y|x) = -x/2 - curv e^{-x} + const
+        curv = y * y / (2.0 * p.tau)
         x = prior_mean.copy()
-        for _ in range(self.newton_iters):
-            e = curv_scale * np.exp(np.clip(-expo * x, -700.0, 700.0))
-            grad = -(x - prior_mean) / var_v - lin + expo * e
-            hess = -1.0 / var_v - expo ** 2 * e
+        for _ in range(_SV_NEWTON_ITERS):
+            e = curv * np.exp(np.clip(-x, -700.0, 700.0))
+            grad = -(x - prior_mean) / var_v - 0.5 + e
+            hess = -1.0 / var_v - e
             x = x - grad / hess
-        e = curv_scale * np.exp(np.clip(-expo * x, -700.0, 700.0))
-        var = 1.0 / (1.0 / var_v + expo ** 2 * e)
+        e = curv * np.exp(np.clip(-x, -700.0, 700.0))
+        var = 1.0 / (1.0 / var_v + e)
         return x, np.sqrt(var)
 
 

@@ -44,16 +44,12 @@ class SvParams:
     x_0 ~ N(mu, sigma_v^2 / (1 - rho^2)),
     x_t ~ N(mu + rho (x_{t-1} - mu), sigma_v^2),
     y_t ~ N(0, exp(x_t) * tau).
-
-    ``obs_spread`` selects whether exp(x_t) * tau is the observation variance
-    (default, the usual convention) or its standard deviation.
     """
 
     mu: float
     rho: float
     sigma_v: float
     tau: float = 1.0
-    obs_spread: str = "variance"
 
     def __post_init__(self):
         if not abs(self.rho) < 1.0:
@@ -62,16 +58,13 @@ class SvParams:
             raise ValueError("sigma_v must be positive")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.obs_spread not in ("variance", "std"):
-            raise ValueError("obs_spread must be 'variance' or 'std'")
 
     @property
     def stationary_variance(self) -> float:
         return self.sigma_v ** 2 / (1.0 - self.rho ** 2)
 
     def obs_variance(self, x) -> np.ndarray:
-        spread = np.exp(np.asarray(x, dtype=float)) * self.tau
-        return spread if self.obs_spread == "variance" else spread ** 2
+        return np.exp(np.asarray(x, dtype=float)) * self.tau
 
 
 @dataclass

@@ -85,7 +85,7 @@ def test_criterion_2_posterior_reproduction():
         cfg = rm.PmhConfig(iterations=5000, burn_in=1250, step_sizes=[0.1],
                            n_particles=100, n_riesz=100, seed=900 + T)
         chain = rm.pmh_run(family, traj.observations[:T], prior, cfg,
-                           theta0=[0.75], riesz_params=RP40)
+                           theta0=[0.75])
         mean, var = rm.posterior_summary(chain, cfg.burn_in)
         means[T], variances[T] = float(mean[0]), float(var[0])
     elapsed = time.perf_counter() - started

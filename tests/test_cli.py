@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from rieszmc import RieszProposalSet
 from rieszmc.cli import (
     bundled_prices_path,
     format_float,
@@ -170,6 +171,7 @@ class TestLoadConfig:
         ({"n_values": [10, None]}, "n_values[1]"),
         ({"n_seeds": True}, "n_seeds"),
         ({"proposal": 0.1}, "proposal"),
+        ({"model": {"phi": 10 ** 400}}, "model.phi"),
     ])
     def test_nested_keys_and_types_checked(self, tmp_path, options, path):
         cfg = _write(tmp_path, "c.json", json.dumps(options))
@@ -259,6 +261,27 @@ class TestRunExperiment:
         for chain in summary["results"]["chains"]:
             assert 0.0 <= chain["acceptance_rate"] <= 1.0
 
+    @pytest.mark.parametrize("experiment, tweaks", [
+        ("pmh-sv", {}),
+        ("pmh-lgss", {"T": 10, "step_sizes": [0.1, 0.3]}),
+    ])
+    def test_one_proposal_set_per_run(self, tmp_path, monkeypatch,
+                                      experiment, tweaks):
+        # every chain and the volatility filter draw through one set
+        built = []
+        standard_normal = RieszProposalSet.standard_normal
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(RieszProposalSet, "standard_normal", counting)
+        cfg = load_config(experiment, seed=1, output_dir=tmp_path / "out")
+        cfg.options.update({"iterations": 10, "burn_in": 2,
+                            "n_particles": 20, "n_riesz": 10, **tweaks})
+        assert run_experiment(cfg) == 0
+        assert len(built) == 1
+
     def test_pmh_sv_on_custom_csv(self, tmp_path):
         rng = np.random.default_rng(0)
         closes = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(40)))
@@ -301,6 +324,12 @@ class TestMain:
         ("filter-lgss", {"proposal": {"mode": "frozen"}}),
         ("filter-lgss", {"proposal": {"index_mode": "modulo",
                                       "resampling": "systematic"}}),
+        ("filter-lgss", {"n_values": []}),
+        ("pmh-lgss", {"step_sizes": [], "iterations": 5, "T": 5}),
+        ("diagnostics", {"n_values": []}),
+        ("generate-points", {"seed": True}),
+        ("generate-points", {"n_points": 20.7}),
+        ("filter-lgss", {"riesz": {"d": 1.5}}),
     ])
     def test_invalid_option_values_exit_2(self, tmp_path, capsys,
                                           experiment, options):
@@ -361,19 +390,19 @@ _PINNED = {
                   "n_particles": 20, "n_riesz": 10, "max_lag": 5,
                   "proposal": {"jitter": 0.2, "tail_mix": 0.1,
                                "index_mode": "modulo", "half_width": 4.0}}, {
-        "results.csv": "97bc08157569ae501580a42ef04772817a481638d425222a442d9e2c928fea2e",
-        "plotdata/acf.csv": "4bdfab3ca6549649dee2ad0d7be3260b422229f56defd34e20627b9d47b11a93",
-        "plotdata/trace.csv": "52402039b47df8b87f778e4539186d3917cd1403ade9011d720ed9f0ff87f07e",
+        "results.csv": "f14c425de06521c5b301b43fae70d3dbde903de2b99c7c1dc8142dbe2fe69800",
+        "plotdata/acf.csv": "a81d09d35cab905d3420dde37e5fc4a29d57423644305a5ff33d47f1b8a2c5cc",
+        "plotdata/trace.csv": "9715845de7e63c8d3926348a248e28da1e1a77eff35c28702eefa987ffc84a0f",
     }),
     "pmh-sv": ({"iterations": 10, "burn_in": 2, "n_particles": 20,
                 "n_riesz": 10, "max_lag": 5,
                 "proposal": {"jitter": 0.2, "tail_mix": 0.1,
                              "half_width": 4.0,
                              "resampling": "systematic"}}, {
-        "results.csv": "a089c27186247eb161bb81c3ef50e68ac727906f3408225a36a3d0fe4821e058",
-        "plotdata/acf.csv": "9bd2c9b619cf8f61f262b3744d0d4647550c50c5a59810ef72f6ecde622e963d",
-        "plotdata/trace.csv": "f5ec87f43bc95d4c355823808351bf67160434ad51be0135daafac518c74e021",
-        "plotdata/volatility.csv": "c9bad87fe28322d8da238c96a5fdee61b7f57042297363d9b92c5f259a0cc797",
+        "results.csv": "65b9ba5bc9a9616d7cd76ae0bed94031dfdf54d6a4c294f330a54fee72f6c0ba",
+        "plotdata/acf.csv": "812a11420174c5a5473d6fcb4b56be6e285366f61e99aeb8f301731062bcaab2",
+        "plotdata/trace.csv": "1492d16eecb9b5fe6c743bfa3dd0d3493287bfc29da3bb1a282758f50baa65fe",
+        "plotdata/volatility.csv": "ccb0d1e958439725cd248ba2e8c745af95363ae0193e3593f01ca1152136d077",
     }),
 }
 

@@ -13,6 +13,9 @@ from rieszmc import (
     LgssParams,
     LgssPhiFamily,
     PmhConfig,
+    RieszParams,
+    RieszProposalSet,
+    SamplerConfig,
     TruncatedGaussianPrior,
     acceptance_log_ratio,
     acf,
@@ -130,6 +133,16 @@ class TestPmhRun:
         chain = pmh_run(family, traj.observations,
                         LgssPhiFamily.default_prior(), cfg, theta0=[0.75])
         assert chain.acceptance_rate == pytest.approx(chain.accepted.mean())
+
+    def test_proposal_set_must_match_n_riesz(self):
+        pset = RieszProposalSet.standard_normal(
+            12, RieszParams(), SamplerConfig(n_points=12))
+        cfg = PmhConfig(iterations=5, burn_in=1, step_sizes=[0.1],
+                        n_particles=10, n_riesz=10)
+        with pytest.raises(ValueError, match="n_riesz"):
+            pmh_run(LgssPhiFamily(), np.zeros(3),
+                    LgssPhiFamily.default_prior(), cfg, theta0=[0.5],
+                    proposal_set=pset)
 
     def test_determinism(self):
         traj = lgss_simulate(self.PAPER, 15, 0.0, np.random.default_rng(10))

@@ -41,7 +41,6 @@ class TestParams:
         dict(mu=0.0, rho=1.0, sigma_v=0.2),
         dict(mu=0.0, rho=0.9, sigma_v=0.0),
         dict(mu=0.0, rho=0.9, sigma_v=0.2, tau=0.0),
-        dict(mu=0.0, rho=0.9, sigma_v=0.2, obs_spread="bogus"),
     ])
     def test_sv_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -167,6 +166,9 @@ class TestSvDensities:
         p = SvParams(mu=0.0, rho=0.5, sigma_v=0.2, tau=1.0)
         got = sv_observation_logpdf(0.0, 0.0, p)
         assert got == pytest.approx(-0.5 * math.log(2 * math.pi), rel=1e-12)
+        # exp(x) tau is the observation variance, not its std
+        p = SvParams(mu=0.0, rho=0.5, sigma_v=0.2, tau=2.0)
+        assert p.obs_variance(0.4) == pytest.approx(math.exp(0.4) * 2.0)
 
     def test_logpdfs_integrate_to_one(self):
         p = SvParams(mu=0.3, rho=0.9, sigma_v=0.4, tau=2.0)
@@ -177,15 +179,6 @@ class TestSvDensities:
                        lambda x: sv_observation_logpdf(x, 0.2, p)):
             mass = np.exp(logpdf(grid)).sum() * dx
             assert mass == pytest.approx(1.0, abs=1e-4)
-
-    def test_obs_spread_flag(self):
-        pv = SvParams(mu=0.0, rho=0.5, sigma_v=0.2, tau=2.0,
-                      obs_spread="variance")
-        ps = SvParams(mu=0.0, rho=0.5, sigma_v=0.2, tau=2.0,
-                      obs_spread="std")
-        x = 0.4
-        assert pv.obs_variance(x) == pytest.approx(math.exp(x) * 2.0)
-        assert ps.obs_variance(x) == pytest.approx((math.exp(x) * 2.0) ** 2)
 
 
 class TestSvSimulate:
