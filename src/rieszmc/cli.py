@@ -218,15 +218,19 @@ def _merge(default, given, path: str = ""):
     return given
 
 
+def _pop_typed(raw: dict, key: str, example):
+    """``raw[key]``, removed and typed like ``example``; null means absent."""
+    value = raw.pop(key, None)
+    return None if value is None else _merge(example, value, key)
+
+
 def load_config(experiment: str, config_path=None, seed=None,
                 output_dir=None) -> ExperimentConfig:
     """Merge defaults, the optional config file and CLI overrides."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment '{experiment}'")
     options = copy.deepcopy(DEFAULTS[experiment])
-    file_seed = None
-    file_output = None
-    file_input = None
+    file_seed = file_output = file_input = None
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
@@ -243,11 +247,9 @@ def load_config(experiment: str, config_path=None, seed=None,
                 f"config declares experiment '{declared}' but subcommand "
                 f"is '{experiment}'"
             )
-        file_seed = raw.pop("seed", None)
-        if file_seed is not None:
-            file_seed = _merge(0, file_seed, "seed")
-        file_output = raw.pop("output_dir", None)
-        file_input = raw.pop("input_path", None)
+        file_seed = _pop_typed(raw, "seed", 0)
+        file_output = _pop_typed(raw, "output_dir", "")
+        file_input = _pop_typed(raw, "input_path", "")
         options = _merge(options, raw)
     final_seed = seed if seed is not None else (
         file_seed if file_seed is not None else 0)

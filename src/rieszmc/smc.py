@@ -8,7 +8,11 @@ sampling mechanism (a Laplace-kernel mixture over the configuration), which
 keeps the likelihood estimator of the product-of-weight-means form exactly
 unbiased.  The Laplace kernel's mixture density factors into prefix sums over
 the sorted configuration, so evaluating it costs one binary search per
-particle rather than a sum over every kernel.
+particle rather than a sum over every kernel.  With many particles this
+search, like the multinomial ancestor search in the weight CDF, takes the
+keys in sorted order (``_search_unsorted``): random keys miss the cache and
+the branch predictor at every level of a binary search, and each key's
+answer, so every output, is the same in either order.
 """
 
 from __future__ import annotations
@@ -39,6 +43,27 @@ LOG_ZERO_SENTINEL = -1e9
 _BAND_LEVELS = np.array([0.025, 0.975])
 
 _SV_NEWTON_ITERS = 6
+
+# From this many keys on, _search_unsorted searches them in sorted order.
+# Measured on x86-64 (numpy 2.4): with 100 table entries (the proposal
+# set) the sorted route wins from about 1,600 keys, and with as many
+# entries as keys (the weight CDF) from about 900; below that the argsort
+# costs more than it saves.
+_SORTED_SEARCH_MIN = 2048
+
+
+def _search_unsorted(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(a, v, side="right")`` for unsorted keys v.
+
+    Many keys are searched in sorted order and the indices scattered back;
+    each key's index does not depend on the others, so it is the same array.
+    """
+    if v.shape[0] < _SORTED_SEARCH_MIN:
+        return np.searchsorted(a, v, side="right")
+    order = np.argsort(v)
+    out = np.empty(v.shape[0], dtype=np.intp)
+    out[order] = np.searchsorted(a, v[order], side="right")
+    return out
 
 
 def _logsumexp_1d(x: np.ndarray) -> float:
@@ -113,12 +138,14 @@ class SvFilterModel:
         # log g(y|x) = -x/2 - curv e^{-x} + const
         curv = y * y / (2.0 * p.tau)
         x = prior_mean.copy()
+        # minimum(maximum(...)) is np.clip without its Python-level wrapper,
+        # about 15% of this call's time at n = 200
         for _ in range(_SV_NEWTON_ITERS):
-            e = curv * np.exp(np.clip(-x, -700.0, 700.0))
+            e = curv * np.exp(np.minimum(np.maximum(-x, -700.0), 700.0))
             grad = -(x - prior_mean) / var_v - 0.5 + e
             hess = -1.0 / var_v - e
             x = x - grad / hess
-        e = curv * np.exp(np.clip(-x, -700.0, 700.0))
+        e = curv * np.exp(np.minimum(np.maximum(-x, -700.0), 700.0))
         var = 1.0 / (1.0 / var_v + e)
         return x, np.sqrt(var)
 
@@ -249,7 +276,7 @@ class RieszProposalSet:
         if tail_mix >= 1.0:
             return -0.5 * r * r - 0.5 * _LOG_2PI + log_jac
         lo, hi, narrow_const = self._mixture(x.shape[0])
-        k = np.searchsorted(self._sorted_z, r, side="right")
+        k = _search_unsorted(self._sorted_z, r)
         rb = r / self._scale
         narrow = np.logaddexp(lo[k] - rb, hi[k] + rb) + narrow_const
         if tail_mix <= 0.0:
@@ -285,7 +312,7 @@ def _multinomial_indices(w: np.ndarray, rng: np.random.Generator,
                          n: int) -> np.ndarray:
     edges = np.cumsum(w)
     edges[-1] = 1.0
-    return np.searchsorted(edges, rng.random(n), side="right")
+    return _search_unsorted(edges, rng.random(n))
 
 
 def _systematic_indices(w: np.ndarray, rng: np.random.Generator,

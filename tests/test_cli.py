@@ -330,6 +330,8 @@ class TestMain:
         ("generate-points", {"seed": True}),
         ("generate-points", {"n_points": 20.7}),
         ("filter-lgss", {"riesz": {"d": 1.5}}),
+        ("generate-points", {"output_dir": 5}),
+        ("pmh-sv", {"input_path": 7}),
     ])
     def test_invalid_option_values_exit_2(self, tmp_path, capsys,
                                           experiment, options):

@@ -1,10 +1,13 @@
 """Resampling, proposal sets, weighting and the full filter."""
 
+import hashlib
 import math
 
+import hypothesis.strategies as st
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.special import logsumexp
 from scipy.stats import chi2
 
@@ -27,6 +30,7 @@ from rieszmc import (
     systematic_resample,
 )
 from rieszmc.errors import AllWeightsZero, LengthMismatch, UnnormalizedWeights
+from rieszmc.smc import _SORTED_SEARCH_MIN, _search_unsorted
 
 PAPER = LgssParams(phi=0.75, sigma_v=1.0, sigma_o=0.1)
 RP = RieszParams(s=40.0, d=1)
@@ -85,6 +89,55 @@ class TestSystematicResample:
     def test_unnormalized_weights(self):
         with pytest.raises(UnnormalizedWeights):
             systematic_resample([0.7, 0.7], np.random.default_rng(33))
+
+
+# key counts on both sides of the sorted-search cutoff
+_KEY_COUNTS = [1, 7, _SORTED_SEARCH_MIN - 1, _SORTED_SEARCH_MIN,
+               2 * _SORTED_SEARCH_MIN + 3]
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestSearchUnsorted:
+    """_search_unsorted must equal np.searchsorted(side="right") exactly."""
+
+    @staticmethod
+    def _assert_same(a, v):
+        got = _search_unsorted(a, v)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(a, v, side="right"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(table=st.lists(_FINITE, min_size=1, max_size=40),
+           extra=st.lists(st.one_of(_FINITE, st.sampled_from(
+               [math.inf, -math.inf])), max_size=20),
+           n=st.sampled_from(_KEY_COUNTS), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_searchsorted(self, table, extra, n, seed):
+        # keys are drawn with repetition from the table's own entries and
+        # the extra values, so ties with a and repeated keys are common
+        a = np.sort(np.array(table))
+        pool = np.concatenate([a, np.array(extra, dtype=float)])
+        self._assert_same(a, np.random.default_rng(seed).choice(pool, n))
+
+    @pytest.mark.parametrize("n", _KEY_COUNTS)
+    def test_weight_cdf_with_long_zero_runs(self, n):
+        rng = np.random.default_rng(n)
+        w = np.zeros(5000)
+        w[rng.choice(5000, 12, replace=False)] = rng.random(12)
+        w[:300] = 0.0
+        edges = np.cumsum(w / w.sum())
+        edges[-1] = 1.0
+        keys = np.concatenate([rng.random(n), rng.choice(edges, n), [0.0]])
+        self._assert_same(edges, keys)
+
+    @pytest.mark.parametrize("n", _KEY_COUNTS)
+    def test_proposal_set_residuals(self, pset50, n):
+        rng = np.random.default_rng(n)
+        z = pset50._sorted_z
+        keys = np.concatenate([
+            rng.choice(z, n) + rng.laplace(0.0, 0.07, n),
+            rng.choice(z, n), rng.standard_normal(n) * 30.0,
+            [math.inf, -math.inf]])
+        self._assert_same(z, keys)
 
 
 class TestRieszProposalSet:
@@ -457,6 +510,35 @@ class TestRunFilter:
         assert abs(out.log_likelihood - ko.log_likelihood) < 2.0
         with pytest.raises(ValueError):
             ProposalSpec(resampling="bogus")
+
+
+# SHA-256 of the filtered means, log-likelihood, ESS trace and band of a
+# seeded LGSS filter with n above _SORTED_SEARCH_MIN, so that ancestors and
+# kernel ranks come from the sorted search.  Recorded with the plain
+# np.searchsorted calls; x86-64, numpy 2.4 and scipy 1.17.
+_WIDE_PINNED = {
+    "multinomial":
+        "55b5f3732515646662ba9c643b7afe0cdbcb867958caaa409064acf43ff698bd",
+    "systematic":
+        "9f4d94fe2dac0863c1c8864ffd5378f852413efb6cb04424dd2933015f763cac",
+}
+
+
+@pytest.mark.parametrize("resampling", sorted(_WIDE_PINNED))
+def test_seeded_wide_filter_is_pinned(pset50, resampling):
+    n = 4096
+    assert n >= _SORTED_SEARCH_MIN
+    traj = lgss_simulate(PAPER, 25, 0.0, np.random.default_rng(21))
+    pset = RieszProposalSet(pset50.configuration,
+                            ProposalSpec(resampling=resampling))
+    out = run_filter(LgssFilterModel(PAPER, 0.0), traj.observations, n, 50,
+                     RP, SCFG, np.random.default_rng(22), proposal_set=pset,
+                     record_percentiles=True)
+    h = hashlib.sha256()
+    for a in (out.filtered_means, np.array([out.log_likelihood]),
+              out.ess_trace, out.percentile_lo, out.percentile_hi):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == _WIDE_PINNED[resampling]
 
 
 class TestLogBiasMse:
