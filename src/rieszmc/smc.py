@@ -7,12 +7,15 @@ small Laplace jitter.  The weight denominator is the exact density of this
 sampling mechanism (a Laplace-kernel mixture over the configuration), which
 keeps the likelihood estimator of the product-of-weight-means form exactly
 unbiased.  The Laplace kernel's mixture density factors into prefix sums over
-the sorted configuration, so evaluating it costs one binary search per
-particle rather than a sum over every kernel.  With many particles this
-search, like the multinomial ancestor search in the weight CDF, takes the
-keys in sorted order (``_search_unsorted``): random keys miss the cache and
-the branch predictor at every level of a binary search, and each key's
-answer, so every output, is the same in either order.
+the sorted configuration, so evaluating it costs one rank per particle, the
+number of points at or below its residual, rather than a sum over every
+kernel.  With many particles the rank comes from a table of equal cells over
+the configuration's hull, a few vector passes instead of a binary search per
+particle; the multinomial ancestor search in the weight CDF takes its keys in
+sorted order (``_search_unsorted``), because random keys miss the cache and
+the branch predictor at every level of a binary search.  Both give each key
+the same answer as ``np.searchsorted``, so every output is the same as with
+the plain search.
 """
 
 from __future__ import annotations
@@ -45,11 +48,14 @@ _BAND_LEVELS = np.array([0.025, 0.975])
 _SV_NEWTON_ITERS = 6
 
 # From this many keys on, _search_unsorted searches them in sorted order.
-# Measured on x86-64 (numpy 2.4): with 100 table entries (the proposal
-# set) the sorted route wins from about 1,600 keys, and with as many
-# entries as keys (the weight CDF) from about 900; below that the argsort
-# costs more than it saves.
-_SORTED_SEARCH_MIN = 2048
+# Measured on x86-64 (numpy 2.4) in the weight CDF, with as many entries as
+# keys: below about 900 keys the argsort costs more than it saves.
+_SORTED_SEARCH_MIN = 900
+
+# From this many residuals on, RieszProposalSet ranks them through its cell
+# table.  Measured on x86-64 (numpy 2.4) with 50, 100 and 180 points: below
+# about 1,000 residuals one np.searchsorted call is as cheap or cheaper.
+_CELL_RANK_MIN = 1000
 
 
 def _search_unsorted(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -105,9 +111,9 @@ class LgssFilterModel:
         return lgss_observation_logpdf(y, x, self.params)
 
     def proposal_moments(self, x_prev, y):
+        # the frame std does not depend on x_prev: one float, broadcast
         mean, var = lgss_optimal_proposal(x_prev, y, self.params)
-        std = math.sqrt(var)
-        return np.asarray(mean, dtype=float), np.full(len(mean), std)
+        return np.asarray(mean, dtype=float), math.sqrt(var)
 
 
 class SvFilterModel:
@@ -201,6 +207,11 @@ class RieszProposalSet:
     Laplace kernels give it full support for every tail_mix.  tail_mix = 1
     degenerates to the plain Gaussian proposal.
 
+    ``sample`` draws J, then lap as b * (E1 - E2) with E1, E2 iid Exp(1),
+    which is exactly Laplace(0, b), then the tail flags, and a normal only
+    for each flagged particle.  ``logpdf`` sums the mixture's two prefix
+    terms and the tail normal in one max-shifted log-sum-exp.
+
     Under ``"modulo"`` a batch of n particles draws kernel j exactly c_j
     times, and when the set size does not divide n the counts differ.  q is
     then the deterministic mixture sum_j (c_j / n) K_j over that index
@@ -219,26 +230,35 @@ class RieszProposalSet:
             raise ValueError("proposal set needs at least 2 points")
         self._z = self.configuration.points[:, 0].copy()
         self._scale = self.spec.jitter / math.sqrt(2.0)
+        tail_mix = self.spec.tail_mix
+        # log weights of the two branches, with the normal's constant
+        self._log_narrow = math.log1p(-tail_mix) if tail_mix < 1.0 else -np.inf
+        self._log_wide = ((math.log(tail_mix) if tail_mix > 0.0 else -np.inf)
+                          - 0.5 * _LOG_2PI)
         self._order = np.argsort(self._z)
         self._sorted_z = self._z[self._order]
         self._uniform = self._mixture_tables(0.0, self._z.shape[0])
+        self._build_cell_table()
 
     def _mixture_tables(self, log_counts, total: int):
-        """Prefix tables and log constant of the Laplace-kernel mixture with
-        kernel j weighted count_j / total (log_counts in sorted-z order).
+        """Prefix tables of the narrow branch, the Laplace-kernel mixture
+        with kernel j weighted count_j / total (log_counts in sorted-z
+        order), its branch weight 1 - tail_mix and constant 1 / (2b) folded
+        in as w_j = log(c_j (1 - tail_mix) / (2 b total)).
 
         Over sorted z and with k = #{z_j <= r},
-          sum_j c_j exp(-|r - z_j| / b) = exp(lo[k] - r / b) + exp(hi[k] + r / b)
-        where lo[k] = log sum_{j < k} c_(j) exp(z_(j) / b) and
-        hi[k] = log sum_{j >= k} c_(j) exp(-z_(j) / b); the padding makes
+          sum_j exp(w_j - |r - z_j| / b) = exp(lo[k] - r / b) + exp(hi[k] + r / b)
+        where lo[k] = log sum_{j < k} exp(w_(j) + z_(j) / b) and
+        hi[k] = log sum_{j >= k} exp(w_(j) - z_(j) / b); the padding makes
         lo[0] = hi[n] = -inf, an empty side.
         """
         u = self._sorted_z / self._scale
-        lo = np.concatenate(
-            ([-np.inf], np.logaddexp.accumulate(u + log_counts)))
+        w = (log_counts + self._log_narrow - math.log(total)
+             - math.log(2.0 * self._scale))
+        lo = np.concatenate(([-np.inf], np.logaddexp.accumulate(u + w)))
         hi = np.concatenate(
-            (np.logaddexp.accumulate((log_counts - u)[::-1])[::-1], [-np.inf]))
-        return lo, hi, -math.log(total) - math.log(2.0 * self._scale)
+            (np.logaddexp.accumulate((w - u)[::-1])[::-1], [-np.inf]))
+        return lo, hi
 
     def _mixture(self, n: int):
         """Mixture tables for a batch of n particles."""
@@ -251,39 +271,87 @@ class RieszProposalSet:
             log_counts = np.log(counts[self._order])
         return self._mixture_tables(log_counts, n)
 
+    def _build_cell_table(self):
+        """Equal cells over the hull of z for ``_rank``.
+
+        G = 8 N' cells; first[c] = #{z : cell(z) < c}, and depth is the most
+        points in one cell.  The sorted points are padded with depth NaNs,
+        which compare false against every residual (+inf padding would count
+        itself under r = +inf).
+        """
+        z = self._sorted_z
+        self._n_cells = 8 * z.shape[0]
+        self._cells_per_unit = self._n_cells / (z[-1] - z[0])
+        counts = np.bincount(self._cell(z), minlength=self._n_cells)
+        self._first = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        self._depth = int(counts.max())
+        self._zpad = np.concatenate((z, np.full(self._depth, np.nan)))
+
+    def _cell(self, v: np.ndarray) -> np.ndarray:
+        """Cell index of each value: floor((v - z_(1)) G / span) in [0, G)."""
+        c = np.floor((v - self._sorted_z[0]) * self._cells_per_unit)
+        return np.fmin(np.fmax(c, 0.0), self._n_cells - 1).astype(np.intp)
+
+    def _rank(self, r: np.ndarray) -> np.ndarray:
+        """k = #{z_j <= r}, ``np.searchsorted(sorted z, r, "right")``.
+
+        cell() is monotone, so the points of lower cells are all <= r and
+        those of higher cells all > r; only r's own cell, at most depth
+        points from first[cell(r)] on, is compared.  NaN maps to cell 0 and
+        compares false.
+        """
+        if r.shape[0] < _CELL_RANK_MIN:
+            return np.searchsorted(self._sorted_z, r, side="right")
+        first = self._first[self._cell(r)]
+        k = first + (self._zpad[first] <= r)
+        for t in range(1, self._depth):
+            k += self._zpad[first + t] <= r
+        return k
+
     @property
     def size(self) -> int:
         return self._z.shape[0]
 
-    def sample(self, means: np.ndarray, stds: np.ndarray,
+    def sample(self, means: np.ndarray, stds: np.ndarray | float,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         n = means.shape[0]
         if self.spec.index_mode == "modulo":
             idx = np.arange(n) % self.size
         else:
             idx = rng.integers(0, self.size, size=n)
+        e = rng.standard_exponential((2, n))
+        r = self._z[idx] + self._scale * (e[0] - e[1])
         wide = rng.random(n) < self.spec.tail_mix
-        eps = rng.standard_normal(n)
-        lap = rng.laplace(0.0, self._scale, size=n)
-        r = np.where(wide, eps, self._z[idx] + lap)
+        r[wide] = rng.standard_normal(np.count_nonzero(wide))
         return means + stds * r, idx
 
     def logpdf(self, x: np.ndarray, means: np.ndarray,
-               stds: np.ndarray) -> np.ndarray:
-        tail_mix = self.spec.tail_mix
+               stds: np.ndarray | float) -> np.ndarray:
         r = (x - means) / stds
         log_jac = -np.log(stds)
+        tail_mix = self.spec.tail_mix
         if tail_mix >= 1.0:
-            return -0.5 * r * r - 0.5 * _LOG_2PI + log_jac
-        lo, hi, narrow_const = self._mixture(x.shape[0])
-        k = _search_unsorted(self._sorted_z, r)
+            return -0.5 * r * r + self._log_wide + log_jac
+        # log q = log(e^a + e^b [+ e^c]) with a, b the narrow branch's two
+        # prefix terms and c the tail; a finite r makes a or b finite, so
+        # the largest term m is finite and the shifted sum lies in [1, 3]
+        lo, hi = self._mixture(x.shape[0])
+        k = self._rank(r)
         rb = r / self._scale
-        narrow = np.logaddexp(lo[k] - rb, hi[k] + rb) + narrow_const
-        if tail_mix <= 0.0:
-            return narrow + log_jac
-        wide = -0.5 * r * r - 0.5 * _LOG_2PI
-        return np.logaddexp(math.log1p(-tail_mix) + narrow,
-                            math.log(tail_mix) + wide) + log_jac
+        a = lo[k] - rb
+        b = hi[k] + rb
+        m = np.maximum(a, b)
+        if tail_mix > 0.0:
+            c = -0.5 * r * r + self._log_wide
+            np.maximum(m, c, out=m)
+        a -= m
+        s = np.exp(a, out=a)
+        b -= m
+        s += np.exp(b, out=b)
+        if tail_mix > 0.0:
+            c -= m
+            s += np.exp(c, out=c)
+        return m + np.log(s) + log_jac
 
     @classmethod
     def standard_normal(cls, n_points: int, riesz_params: RieszParams,

@@ -384,27 +384,27 @@ _PINNED = {
     }),
     "filter-lgss": ({"T": 15, "n_values": [10, 20], "n_seeds": 2,
                      "n_riesz": 10}, {
-        "results.csv": "43c9b546a1ba212a2f23b01474d8d767e389d72f630c19704d54813d5858bb3b",
-        "plotdata/ess.csv": "6039d683936d9427b025e5b816aa2a57a971616953be4684e49094a37fe670b3",
-        "plotdata/filtered.csv": "1c9168bc1335623780b1b7f9cbfd23202005be281a7664c5e1c2ef0d517a7e04",
+        "results.csv": "e1c653abe5aaa569d777966466025b424a351a7458a160e3b7f653e3c50eb142",
+        "plotdata/ess.csv": "f8cf3f4ae1604a3e0779f96314b303dc6c0a4f883c0fd2aacbec6ff720c6ec87",
+        "plotdata/filtered.csv": "91d2e1433bf3177ddf0ee348cdc7ec0980398c5bf521abfa6d2ccbd8127276de",
     }),
     "pmh-lgss": ({"T": 10, "iterations": 20, "burn_in": 5,
                   "n_particles": 20, "n_riesz": 10, "max_lag": 5,
                   "proposal": {"jitter": 0.2, "tail_mix": 0.1,
                                "index_mode": "modulo", "half_width": 4.0}}, {
-        "results.csv": "f14c425de06521c5b301b43fae70d3dbde903de2b99c7c1dc8142dbe2fe69800",
-        "plotdata/acf.csv": "a81d09d35cab905d3420dde37e5fc4a29d57423644305a5ff33d47f1b8a2c5cc",
-        "plotdata/trace.csv": "9715845de7e63c8d3926348a248e28da1e1a77eff35c28702eefa987ffc84a0f",
+        "results.csv": "69fbfcfeae186575c12663b569ada3551d712069fd10fc040c35add623f1c01c",
+        "plotdata/acf.csv": "f9bbbf7854f57a1bc2b287dafccb3fb611f47453461c27c32394ad2cea13a39e",
+        "plotdata/trace.csv": "20c78df4e840a84b972bf724512acc82f285208d12bcc59b451131fc791c5f1e",
     }),
     "pmh-sv": ({"iterations": 10, "burn_in": 2, "n_particles": 20,
                 "n_riesz": 10, "max_lag": 5,
                 "proposal": {"jitter": 0.2, "tail_mix": 0.1,
                              "half_width": 4.0,
                              "resampling": "systematic"}}, {
-        "results.csv": "65b9ba5bc9a9616d7cd76ae0bed94031dfdf54d6a4c294f330a54fee72f6c0ba",
-        "plotdata/acf.csv": "812a11420174c5a5473d6fcb4b56be6e285366f61e99aeb8f301731062bcaab2",
-        "plotdata/trace.csv": "1492d16eecb9b5fe6c743bfa3dd0d3493287bfc29da3bb1a282758f50baa65fe",
-        "plotdata/volatility.csv": "ccb0d1e958439725cd248ba2e8c745af95363ae0193e3593f01ca1152136d077",
+        "results.csv": "3d14b26c07e8dae37bd6fee68273b79b5f794acdd882bbf82d6269a692386b11",
+        "plotdata/acf.csv": "d3f7b0fd69ca05075a4ba3297f9df5986f0f492d95368e005497cc9e67d7836c",
+        "plotdata/trace.csv": "8a110ac2d40ca14244f04920e1c722083ac5abf2616a0f332569a8f94d41a885",
+        "plotdata/volatility.csv": "d78349827cce5053fa41937bd33a257c5d0291170afd4f0ddbba67d60a1fc6d4",
     }),
 }
 

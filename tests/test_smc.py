@@ -30,7 +30,7 @@ from rieszmc import (
     systematic_resample,
 )
 from rieszmc.errors import AllWeightsZero, LengthMismatch, UnnormalizedWeights
-from rieszmc.smc import _SORTED_SEARCH_MIN, _search_unsorted
+from rieszmc.smc import _CELL_RANK_MIN, _SORTED_SEARCH_MIN, _search_unsorted
 
 PAPER = LgssParams(phi=0.75, sigma_v=1.0, sigma_o=0.1)
 RP = RieszParams(s=40.0, d=1)
@@ -91,14 +91,17 @@ class TestSystematicResample:
             systematic_resample([0.7, 0.7], np.random.default_rng(33))
 
 
-# key counts on both sides of the sorted-search cutoff
-_KEY_COUNTS = [1, 7, _SORTED_SEARCH_MIN - 1, _SORTED_SEARCH_MIN,
-               2 * _SORTED_SEARCH_MIN + 3]
+# key counts on both sides of the sorted-search and cell-rank cutoffs, and
+# wide-filter sizes above both
+_KEY_COUNTS = sorted({1, 7, _CELL_RANK_MIN - 1, _CELL_RANK_MIN,
+                      _SORTED_SEARCH_MIN - 1, _SORTED_SEARCH_MIN,
+                      2047, 2048, 4099})
 _FINITE = st.floats(-1e6, 1e6, allow_nan=False)
 
 
 class TestSearchUnsorted:
-    """_search_unsorted must equal np.searchsorted(side="right") exactly."""
+    """_search_unsorted and the proposal set's cell rank must equal
+    np.searchsorted(side="right") exactly."""
 
     @staticmethod
     def _assert_same(a, v):
@@ -137,7 +140,40 @@ class TestSearchUnsorted:
             rng.choice(z, n) + rng.laplace(0.0, 0.07, n),
             rng.choice(z, n), rng.standard_normal(n) * 30.0,
             [math.inf, -math.inf]])
-        self._assert_same(z, keys)
+        got = pset50._rank(keys)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(z, keys, side="right"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(base=st.lists(st.integers(-3200, 3200), min_size=1, max_size=30,
+                         unique=True),
+           clumps=st.lists(st.integers(0, 6), min_size=1, max_size=30),
+           n=st.sampled_from(_KEY_COUNTS), seed=st.integers(0, 2 ** 32 - 1))
+    def test_cell_rank_matches_searchsorted(self, base, clumps, n, seed):
+        # each base point k / 64 + 0.3 grows a clump of up to 6 neighbours
+        # one ulp apart, so cells hold several points (depth > 1); two-point
+        # sets included.  The base points are never 0, whose ulp neighbours
+        # would underflow the configuration's distance check
+        pts = []
+        for v, extra in zip(np.array(base) / 64 + 0.3,
+                            clumps + [0] * len(base)):
+            for _ in range(extra + 1):
+                pts.append(v)
+                v = np.nextafter(v, np.inf)
+        pts = np.unique(pts)
+        if pts.size < 2:
+            pts = np.append(pts, pts[0] + 1.0)
+        pset = RieszProposalSet(PointConfiguration(pts[:, None],
+                                                   np.ones(pts.size), 1))
+        z = pset._sorted_z
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([
+            z, z + np.diff(z).min() / 2, [math.inf, -math.inf],
+            [z[0] - 1e6, z[-1] + 1e6, z[0] - 1e-9, z[-1] + 1e-9],
+            rng.uniform(z[0] - 1.0, z[-1] + 1.0, 64)])
+        keys = rng.choice(pool, n)
+        got = pset._rank(keys)
+        assert np.array_equal(got, np.searchsorted(z, keys, side="right"))
 
 
 class TestRieszProposalSet:
@@ -192,6 +228,18 @@ class TestRieszProposalSet:
                 - 0.5 * math.log(2 * math.pi) - np.log(stds))
         assert np.allclose(pset.logpdf(x, means, stds), want, rtol=1e-12)
 
+    # residuals on both sides of the cell-rank cutoff
+    @pytest.mark.parametrize("n", [_CELL_RANK_MIN - 1, _CELL_RANK_MIN])
+    @pytest.mark.parametrize("tail_mix", [0.0, 0.05])
+    def test_nan_residual_gives_nan_density(self, pset50, tail_mix, n):
+        pset = RieszProposalSet(pset50.configuration,
+                                ProposalSpec(tail_mix=tail_mix))
+        x = np.linspace(-3.0, 3.0, n)
+        x[[0, n // 2]] = np.nan
+        got = pset.logpdf(x, np.zeros(n), 1.0)
+        assert np.isnan(got[[0, n // 2]]).all()
+        assert np.isfinite(np.delete(got, [0, n // 2])).all()
+
     def test_sample_matches_density_moments(self, pset50):
         rng = np.random.default_rng(7)
         n = 200_000
@@ -205,6 +253,29 @@ class TestRieszProposalSet:
         var_want = np.trapezoid((grid - mean_want) ** 2 * dens, grid)
         assert x.mean() == pytest.approx(mean_want, abs=0.02)
         assert x.var() == pytest.approx(var_want, rel=0.03)
+
+    @pytest.mark.parametrize("index_mode", ["random", "modulo"])
+    @pytest.mark.parametrize("tail_mix", [0.0, 0.05, 1.0])
+    def test_sample_follows_logpdf(self, pset50, tail_mix, index_mode):
+        # KS distance of 400,000 standardized draws against the CDF
+        # integrated from exp(logpdf) on a fine grid; the bound is the 1%
+        # critical value 1.628 / sqrt(n)
+        pset = RieszProposalSet(pset50.configuration, ProposalSpec(
+            tail_mix=tail_mix, index_mode=index_mode))
+        n = 400_000
+        rng = np.random.default_rng(41)
+        means = rng.uniform(-2.0, 2.0, n)
+        stds = rng.uniform(0.5, 2.0, n)
+        x, _ = pset.sample(means, stds, rng)
+        r = np.sort((x - means) / stds)
+        grid = np.linspace(-10.0, 10.0, 80_001)
+        dens = np.exp(pset.logpdf(grid, np.zeros_like(grid), 1.0))
+        cdf = np.concatenate(([0.0], np.cumsum(
+            0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))))
+        f = np.interp(r, grid, cdf)
+        ks = max(np.max(np.arange(1, n + 1) / n - f),
+                 np.max(f - np.arange(n) / n))
+        assert ks < 1.628 / math.sqrt(n)
 
     def test_modulo_assignment(self, pset50):
         pset = RieszProposalSet(pset50.configuration, ProposalSpec(
@@ -512,22 +583,50 @@ class TestRunFilter:
             ProposalSpec(resampling="bogus")
 
 
+_OPTIONS = {
+    "default": ProposalSpec(),
+    "tail_mix=0": ProposalSpec(tail_mix=0.0),
+    "tail_mix=1": ProposalSpec(tail_mix=1.0),
+    "modulo": ProposalSpec(index_mode="modulo"),
+    "systematic": ProposalSpec(resampling="systematic"),
+}
+
+
+@pytest.mark.parametrize("n", [10, 50, 70])
+@pytest.mark.parametrize("option", sorted(_OPTIONS))
+def test_likelihood_unbiased_for_every_proposal_option(pset50, option, n):
+    # E[p-hat] = p for every proposal option, with n below, at and above
+    # N' = 50: the mean of p-hat / p over 1,500 seeds within 4 SE of 1
+    traj = lgss_simulate(PAPER, 3, 0.0, np.random.default_rng(5))
+    log_p = kalman_filter(PAPER, traj.observations, 0.0, 0.0).log_likelihood
+    model = LgssFilterModel(PAPER, 0.0)
+    pset = RieszProposalSet(pset50.configuration, _OPTIONS[option])
+    ratios = np.array([
+        math.exp(run_filter(model, traj.observations, n, 50, RP, SCFG,
+                            np.random.default_rng(20_000 + seed),
+                            proposal_set=pset).log_likelihood - log_p)
+        for seed in range(1500)])
+    se = ratios.std(ddof=1) / math.sqrt(len(ratios))
+    assert abs(ratios.mean() - 1.0) < 4 * se, (ratios.mean(), se)
+
+
 # SHA-256 of the filtered means, log-likelihood, ESS trace and band of a
-# seeded LGSS filter with n above _SORTED_SEARCH_MIN, so that ancestors and
-# kernel ranks come from the sorted search.  Recorded with the plain
-# np.searchsorted calls; x86-64, numpy 2.4 and scipy 1.17.
+# seeded LGSS filter with n above _SORTED_SEARCH_MIN and _CELL_RANK_MIN, so
+# that ancestors come from the sorted search and kernel ranks from the cell
+# table.  The plain np.searchsorted calls give the same digests; x86-64,
+# numpy 2.4 and scipy 1.17.
 _WIDE_PINNED = {
     "multinomial":
-        "55b5f3732515646662ba9c643b7afe0cdbcb867958caaa409064acf43ff698bd",
+        "7bd898e0e4cdc06a22b9e83f5286836efb2fed035776e6b897d1c4108f839967",
     "systematic":
-        "9f4d94fe2dac0863c1c8864ffd5378f852413efb6cb04424dd2933015f763cac",
+        "b30bde063d68ef3ca9812867d1d053da8f11ba04e5ffbb2fab3d51a5b423d531",
 }
 
 
 @pytest.mark.parametrize("resampling", sorted(_WIDE_PINNED))
 def test_seeded_wide_filter_is_pinned(pset50, resampling):
     n = 4096
-    assert n >= _SORTED_SEARCH_MIN
+    assert n >= max(_SORTED_SEARCH_MIN, _CELL_RANK_MIN)
     traj = lgss_simulate(PAPER, 25, 0.0, np.random.default_rng(21))
     pset = RieszProposalSet(pset50.configuration,
                             ProposalSpec(resampling=resampling))
