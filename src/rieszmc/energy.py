@@ -28,6 +28,10 @@ from .errors import (
 
 KAPPA_FLOOR = 1e-3
 
+# pdist squares the coordinate differences, and below about 1.5e-154 the
+# square is subnormal or 0; min_separation measures such pairs again.
+_SQUARE_UNDERFLOW = 1e-150
+
 
 @dataclass(frozen=True)
 class RieszParams:
@@ -92,7 +96,11 @@ class PointConfiguration:
         kap = np.asarray(self.kappa_values, dtype=float).reshape(-1)
         if kap.shape[0] != pts.shape[0]:
             raise ValueError("kappa_values length must match number of points")
-        if pts.shape[0] >= 2 and pdist(pts).min() <= 0.0:
+        # equal rows are adjacent in lexicographic order; comparing them,
+        # not their distance, keeps distinct points whose squared distance
+        # underflows to 0, and 0.0 == -0.0 still counts as coincident
+        srt = pts[np.lexsort(pts.T[::-1])]
+        if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
             raise DegenerateDistance("configuration contains coincident points")
         self.points = pts
         self.kappa_values = kap
@@ -271,10 +279,21 @@ def config_energy(c: PointConfiguration, p: RieszParams) -> float:
 # geometric diagnostics
 
 def min_separation(c: PointConfiguration) -> float:
-    """Minimum pairwise distance of the configuration."""
+    """Minimum pairwise distance of the configuration.
+
+    It stays exact where the squared distance underflows, so distinct
+    points never read 0: the pairs that pdist puts below _SQUARE_UNDERFLOW
+    are measured again with np.hypot, which scales instead of squaring.
+    """
     if c.n < 2:
         raise TooFewPoints("min_separation requires at least two points")
-    return float(pdist(c.points).min())
+    r = pdist(c.points)
+    close = np.flatnonzero(r < _SQUARE_UNDERFLOW)
+    if close.size:
+        iu, ju = np.triu_indices(c.n, k=1)
+        r[close] = np.hypot.reduce(c.points[iu[close]] - c.points[ju[close]],
+                                   axis=1)
+    return float(r.min())
 
 
 def covering_radius(c: PointConfiguration, reference) -> float:

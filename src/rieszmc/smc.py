@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, wrightomega
 
 from .energy import DensityOracle, PointConfiguration, RieszParams
 from .errors import AllWeightsZero, LengthMismatch, UnnormalizedWeights
@@ -44,8 +44,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 LOG_ZERO_SENTINEL = -1e9
 
 _BAND_LEVELS = np.array([0.025, 0.975])
-
-_SV_NEWTON_ITERS = 6
 
 # From this many keys on, _search_unsorted searches them in sorted order.
 # Measured on x86-64 (numpy 2.4) in the weight CDF, with as many entries as
@@ -119,9 +117,17 @@ class LgssFilterModel:
 class SvFilterModel:
     """Filter-facing view of the stochastic volatility model.
 
-    The proposal frame is a Laplace (moment-matched Gaussian) approximation
-    of the optimal density p(x_t | x_prev, y_t), found by Newton iteration on
-    the concave log posterior of x_t.
+    The proposal frame is the Laplace approximation of the optimal density
+    p(x_t | x_prev, y_t): its mode and the curvature there.  With prior mean
+    m = mu + rho (x_prev - mu), v = sigma_v^2 and c = y^2 / (2 tau), the log
+    posterior -(x - m)^2 / (2v) - x/2 - c e^{-x} is concave, and its
+    gradient vanishes where x = m - v/2 + u with u e^u = v c e^{v/2 - m}.
+    So u = W(e^z) = omega(z) at z = log(v c) + v/2 - m, where W is the
+    Lambert function and omega the Wright omega function (Corless et al.
+    1996; Lawrence, Corless & Jeffrey 2012).  At the mode c e^{-x} = u / v,
+    so the curvature gives std = sqrt(v / (1 + u)).  y = 0 gives c = 0,
+    z = -inf and u = 0: the frame is the prior shifted by -v/2, with std
+    sigma_v.
     """
 
     def __init__(self, params: SvParams):
@@ -139,21 +145,14 @@ class SvFilterModel:
 
     def proposal_moments(self, x_prev, y):
         p = self.params
-        prior_mean = p.mu + p.rho * (np.asarray(x_prev, dtype=float) - p.mu)
         var_v = p.sigma_v ** 2
-        # log g(y|x) = -x/2 - curv e^{-x} + const
-        curv = y * y / (2.0 * p.tau)
-        x = prior_mean.copy()
-        # minimum(maximum(...)) is np.clip without its Python-level wrapper,
-        # about 15% of this call's time at n = 200
-        for _ in range(_SV_NEWTON_ITERS):
-            e = curv * np.exp(np.minimum(np.maximum(-x, -700.0), 700.0))
-            grad = -(x - prior_mean) / var_v - 0.5 + e
-            hess = -1.0 / var_v - e
-            x = x - grad / hess
-        e = curv * np.exp(np.minimum(np.maximum(-x, -700.0), 700.0))
-        var = 1.0 / (1.0 / var_v + e)
-        return x, np.sqrt(var)
+        x_prev = np.asarray(x_prev, dtype=float)
+        # m - v/2, the mode where y = 0
+        shifted = (p.mu - 0.5 * var_v) + p.rho * (x_prev - p.mu)
+        vc = var_v * y * y / (2.0 * p.tau)
+        # z = log(v c) + v/2 - m = log(v c) - (m - v/2)
+        u = wrightomega((math.log(vc) if vc > 0.0 else -math.inf) - shifted)
+        return shifted + u, np.sqrt(var_v / (1.0 + u))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +208,10 @@ class RieszProposalSet:
 
     ``sample`` draws J, then lap as b * (E1 - E2) with E1, E2 iid Exp(1),
     which is exactly Laplace(0, b), then the tail flags, and a normal only
-    for each flagged particle.  ``logpdf`` sums the mixture's two prefix
-    terms and the tail normal in one max-shifted log-sum-exp.
+    for each flagged particle; it returns the draws and J.  At tail_mix = 1
+    it draws one normal per particle and no J (None), and the set builds
+    none of the narrow branch's tables.  ``logpdf`` sums the mixture's two
+    prefix terms and the tail normal in one max-shifted log-sum-exp.
 
     Under ``"modulo"`` a batch of n particles draws kernel j exactly c_j
     times, and when the set size does not divide n the counts differ.  q is
@@ -231,14 +232,16 @@ class RieszProposalSet:
         self._z = self.configuration.points[:, 0].copy()
         self._scale = self.spec.jitter / math.sqrt(2.0)
         tail_mix = self.spec.tail_mix
-        # log weights of the two branches, with the normal's constant
-        self._log_narrow = math.log1p(-tail_mix) if tail_mix < 1.0 else -np.inf
+        # log weight of the tail branch, with the normal's constant
         self._log_wide = ((math.log(tail_mix) if tail_mix > 0.0 else -np.inf)
                           - 0.5 * _LOG_2PI)
         self._order = np.argsort(self._z)
         self._sorted_z = self._z[self._order]
-        self._uniform = self._mixture_tables(0.0, self._z.shape[0])
-        self._build_cell_table()
+        if tail_mix < 1.0:
+            # the narrow branch's tables; at tail_mix = 1 q is the frame normal
+            self._log_narrow = math.log1p(-tail_mix)
+            self._uniform = self._mixture_tables(0.0, self._z.shape[0])
+            self._build_cell_table()
 
     def _mixture_tables(self, log_counts, total: int):
         """Prefix tables of the narrow branch, the Laplace-kernel mixture
@@ -313,8 +316,11 @@ class RieszProposalSet:
         return self._z.shape[0]
 
     def sample(self, means: np.ndarray, stds: np.ndarray | float,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+               rng: np.random.Generator
+               ) -> tuple[np.ndarray, np.ndarray | None]:
         n = means.shape[0]
+        if self.spec.tail_mix >= 1.0:
+            return means + stds * rng.standard_normal(n), None
         if self.spec.index_mode == "modulo":
             idx = np.arange(n) % self.size
         else:

@@ -172,7 +172,20 @@ def sv_transition_logpdf(x_t, x_prev, p: SvParams):
 
 
 def sv_observation_logpdf(y_t, x_t, p: SvParams):
-    return _norm_logpdf(y_t, 0.0, p.obs_variance(x_t))
+    """SV observation log-density log N(y; 0, tau e^x).
+
+    It is -(log 2 pi + log tau + x + (y^2 / tau) e^{-x}) / 2, and the
+    variance tau e^x is never formed, so where it would overflow or
+    underflow the value is still exact: -400.92 at x = 800, not -inf.  Where
+    y = 0 the last term is dropped, so an overflowing e^{-x} never meets the
+    zero (0 * inf would be NaN), and where it overflows with y != 0 the
+    value is -inf, the log of a density that underflows to 0.
+    """
+    x = np.asarray(x_t, dtype=float)
+    q = np.square(y_t) / p.tau
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = x + np.where(q == 0.0, 0.0, q * np.exp(-x))
+    return -0.5 * (s + (_LOG_2PI + math.log(p.tau)))
 
 
 def sv_simulate(p: SvParams, T: int, rng: np.random.Generator) -> Trajectory:

@@ -404,7 +404,7 @@ _PINNED = {
         "results.csv": "3d14b26c07e8dae37bd6fee68273b79b5f794acdd882bbf82d6269a692386b11",
         "plotdata/acf.csv": "d3f7b0fd69ca05075a4ba3297f9df5986f0f492d95368e005497cc9e67d7836c",
         "plotdata/trace.csv": "8a110ac2d40ca14244f04920e1c722083ac5abf2616a0f332569a8f94d41a885",
-        "plotdata/volatility.csv": "d78349827cce5053fa41937bd33a257c5d0291170afd4f0ddbba67d60a1fc6d4",
+        "plotdata/volatility.csv": "7f7a4ffa780ea5e7d115de5505c9489208a80eb5d533ecab1ff1f4176bcb8e2a",
     }),
 }
 

@@ -185,6 +185,15 @@ class TestMinSeparation:
                 best = min(best, float(np.linalg.norm(pts[i] - pts[j])))
         assert min_separation(c) == pytest.approx(best, rel=1e-14)
 
+    def test_scales_instead_of_squaring(self):
+        # a 3-4-5 pair 5e-160 apart, whose squared distance underflows, and
+        # the same points scaled up to where pdist is exact
+        pts = np.array([[0.0, 0.0], [3e-160, 4e-160], [1.0, 1.0]])
+        c = PointConfiguration(pts, np.ones(3), 2)
+        assert min_separation(c) == pytest.approx(5e-160, rel=1e-15)
+        big = PointConfiguration(pts * 1e155, np.ones(3), 2)
+        assert min_separation(big) == pytest.approx(5e-5, rel=1e-15)
+
     def test_too_few_points(self):
         c = PointConfiguration(np.array([[0.0]]), np.array([1.0]), 1)
         with pytest.raises(TooFewPoints):
@@ -272,6 +281,23 @@ class TestPointConfiguration:
     def test_coincident_points_rejected(self):
         with pytest.raises(DegenerateDistance):
             PointConfiguration(np.array([[0.5], [0.5]]), np.ones(2), 1)
+
+    @pytest.mark.parametrize("pts", [
+        [[0.0], [-0.0]], [[3.0], [1.0], [3.0]],
+        [[0.0, 2.0], [-0.0, 2.0]], [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]]])
+    def test_equal_rows_rejected_in_any_order(self, pts):
+        pts = np.array(pts)
+        with pytest.raises(DegenerateDistance):
+            PointConfiguration(pts, np.ones(pts.shape[0]), pts.shape[1])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_distinct_points_with_underflowing_distance_accepted(self, d):
+        # the squared distance 1.37e-164^2 underflows to 0, the points differ
+        pts = np.zeros((3, d))
+        pts[1, 0], pts[2, -1] = 1.37e-164, -1.0
+        c = PointConfiguration(pts, np.ones(3), d)
+        assert c.n == 3
+        assert min_separation(c) == 1.37e-164
 
     def test_kappa_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy.special import logsumexp
-from scipy.stats import chi2
+from scipy.stats import chi2, norm
 
 from rieszmc import (
     LgssFilterModel,
@@ -152,8 +152,7 @@ class TestSearchUnsorted:
     def test_cell_rank_matches_searchsorted(self, base, clumps, n, seed):
         # each base point k / 64 + 0.3 grows a clump of up to 6 neighbours
         # one ulp apart, so cells hold several points (depth > 1); two-point
-        # sets included.  The base points are never 0, whose ulp neighbours
-        # would underflow the configuration's distance check
+        # sets included
         pts = []
         for v, extra in zip(np.array(base) / 64 + 0.3,
                             clumps + [0] * len(base)):
@@ -277,6 +276,19 @@ class TestRieszProposalSet:
                  np.max(f - np.arange(n) / n))
         assert ks < 1.628 / math.sqrt(n)
 
+    def test_tail_mix_one_draws_one_normal_per_particle(self, pset50):
+        pset = RieszProposalSet(pset50.configuration,
+                                ProposalSpec(tail_mix=1.0))
+        means = np.linspace(-1.0, 1.0, 7)
+        stds = np.linspace(0.5, 2.0, 7)
+        rng = np.random.default_rng(3)
+        x, idx = pset.sample(means, stds, rng)
+        ref = np.random.default_rng(3)
+        assert idx is None
+        assert np.array_equal(x, means + stds * ref.standard_normal(7))
+        # nothing else was drawn
+        assert rng.random() == ref.random()
+
     def test_modulo_assignment(self, pset50):
         pset = RieszProposalSet(pset50.configuration, ProposalSpec(
             jitter=1e-12, tail_mix=0.0, index_mode="modulo"))
@@ -396,6 +408,51 @@ class TestPropagateAndWeight:
         assert out.filtered_means[0] == pytest.approx(w @ x, rel=1e-12)
         assert out.ess_trace[0] == pytest.approx(1.0 / np.sum(w ** 2),
                                                  rel=1e-12)
+
+
+# the CLI's theta0 for pmh-sv, and previous states across the prior's range
+_SV = SvParams(mu=0.0, rho=0.95, sigma_v=0.2)
+_X_PREV = np.linspace(-3.0, 3.0, 25)
+
+
+class TestSvFrame:
+    """The SV frame is the mode of p(x_t | x_prev, y_t) and the curvature
+    there: the log posterior -(x - m)^2 / (2v) - x/2 - c e^{-x}, with
+    c = y^2 / (2 tau), has gradient -(x - m)/v - 1/2 + c e^{-x}."""
+
+    @staticmethod
+    def _terms(x_prev, y):
+        m = _SV.mu + _SV.rho * (x_prev - _SV.mu)
+        return m, _SV.sigma_v ** 2, y * y / (2.0 * _SV.tau)
+
+    @pytest.mark.parametrize("y", [80.0, -25.0])
+    def test_crash_day_frame_is_the_mode(self, y):
+        mean, std = SvFilterModel(_SV).proposal_moments(_X_PREV, y)
+        m, v, c = self._terms(_X_PREV, y)
+        prior, obs = -(mean - m) / v, c * np.exp(-mean)
+        assert np.all(np.abs(prior - 0.5 + obs)
+                      <= 1e-9 * (np.abs(prior) + 0.5 + obs))
+        assert np.allclose(std, (1.0 / v + obs) ** -0.5, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("y", [-5.0, -1.3, 0.3, 2.0])
+    def test_ordinary_returns_match_converged_newton(self, y):
+        # Newton on the decreasing convex gradient converges from any
+        # start; 200 steps reach the root to the last bits
+        m, v, c = self._terms(_X_PREV, y)
+        x = m.copy()
+        for _ in range(200):
+            e = c * np.exp(-x)
+            x = x - (-(x - m) / v - 0.5 + e) / (-1.0 / v - e)
+        mean, std = SvFilterModel(_SV).proposal_moments(_X_PREV, y)
+        assert np.allclose(mean, x, rtol=0, atol=1e-12)
+        assert np.allclose(std, (1.0 / v + c * np.exp(-x)) ** -0.5,
+                           rtol=0, atol=1e-12)
+
+    def test_zero_return_gives_the_shifted_prior(self):
+        mean, std = SvFilterModel(_SV).proposal_moments(_X_PREV, 0.0)
+        m, v, _ = self._terms(_X_PREV, 0.0)
+        assert np.allclose(mean, m - v / 2, rtol=0, atol=1e-15)
+        assert np.allclose(std, _SV.sigma_v, rtol=1e-15, atol=0)
 
 
 class TestRunFilter:
@@ -592,6 +649,17 @@ _OPTIONS = {
 }
 
 
+def _assert_unbiased(model, obs, log_p, pset, n, seed0):
+    """The mean of p-hat / p over 1,500 seeds from seed0 is within 4 SE of 1."""
+    ratios = np.array([
+        math.exp(run_filter(model, obs, n, 50, RP, SCFG,
+                            np.random.default_rng(seed0 + seed),
+                            proposal_set=pset).log_likelihood - log_p)
+        for seed in range(1500)])
+    se = ratios.std(ddof=1) / math.sqrt(len(ratios))
+    assert abs(ratios.mean() - 1.0) < 4 * se, (ratios.mean(), se)
+
+
 @pytest.mark.parametrize("n", [10, 50, 70])
 @pytest.mark.parametrize("option", sorted(_OPTIONS))
 def test_likelihood_unbiased_for_every_proposal_option(pset50, option, n):
@@ -599,15 +667,41 @@ def test_likelihood_unbiased_for_every_proposal_option(pset50, option, n):
     # N' = 50: the mean of p-hat / p over 1,500 seeds within 4 SE of 1
     traj = lgss_simulate(PAPER, 3, 0.0, np.random.default_rng(5))
     log_p = kalman_filter(PAPER, traj.observations, 0.0, 0.0).log_likelihood
-    model = LgssFilterModel(PAPER, 0.0)
     pset = RieszProposalSet(pset50.configuration, _OPTIONS[option])
-    ratios = np.array([
-        math.exp(run_filter(model, traj.observations, n, 50, RP, SCFG,
-                            np.random.default_rng(20_000 + seed),
-                            proposal_set=pset).log_likelihood - log_p)
-        for seed in range(1500)])
-    se = ratios.std(ddof=1) / math.sqrt(len(ratios))
-    assert abs(ratios.mean() - 1.0) < 4 * se, (ratios.mean(), se)
+    _assert_unbiased(LgssFilterModel(PAPER, 0.0), traj.observations, log_p,
+                     pset, n, 20_000)
+
+
+def _sv_grid_log_likelihood(p: SvParams, obs, lo=-6.0, hi=10.0, m=1601):
+    """log p(y_1:T) of the SV model by the filtering recursion on a grid.
+
+    The densities are Gaussian in x on a spacing of sigma_v / 20, so the
+    Riemann sums converge far below Monte Carlo error; 801 and 3,201 points
+    give the same value.
+    """
+    x = np.linspace(lo, hi, m)
+    dx = x[1] - x[0]
+    dens = norm.pdf(x, p.mu, math.sqrt(p.stationary_variance))
+    trans = norm.pdf(x[:, None], p.mu + p.rho * (x[None, :] - p.mu),
+                     p.sigma_v)
+    log_lik = 0.0
+    for y in obs:
+        joint = (trans @ dens) * dx * norm.pdf(y, 0.0,
+                                               np.sqrt(p.tau * np.exp(x)))
+        mass = joint.sum() * dx
+        log_lik += math.log(mass)
+        dens = joint / mass
+    return log_lik
+
+
+@pytest.mark.parametrize("n", [10, 50])
+def test_sv_likelihood_unbiased_with_a_crash_day(pset50, n):
+    # E[p-hat] = p for the SV model whose proposal frame sits on the mode of
+    # p(x_t | x_prev, y_t), over a record whose first return is an 8-sigma
+    # crash: the mean of p-hat / p over 1,500 seeds within 4 SE of 1
+    obs = np.array([-8.0, 0.5, 1.2])
+    log_p = _sv_grid_log_likelihood(_SV, obs)
+    _assert_unbiased(SvFilterModel(_SV), obs, log_p, pset50, n, 40_000)
 
 
 # SHA-256 of the filtered means, log-likelihood, ESS trace and band of a

@@ -170,6 +170,37 @@ class TestSvDensities:
         p = SvParams(mu=0.0, rho=0.5, sigma_v=0.2, tau=2.0)
         assert p.obs_variance(0.4) == pytest.approx(math.exp(0.4) * 2.0)
 
+    @pytest.mark.parametrize("y", [0.0, 1.3, -40.0])
+    def test_observation_matches_extended_precision(self, y):
+        p = SvParams(mu=0.0, rho=0.5, sigma_v=0.2, tau=2.0)
+        x = np.array([-800.0, -30.0, -1.0, 0.0, 2.5, 30.0, 800.0])
+        got = sv_observation_logpdf(y, x, p)
+        with mp.workdps(50):
+            for xi, gi in zip(x, got):
+                want = -(mp.log(2 * mp.pi) + mp.log(p.tau) + xi
+                         + mp.mpf(y) ** 2 / p.tau * mp.exp(-xi)) / 2
+                if want < -1e300:
+                    # (y^2 / tau) e^{800}: the density underflows to 0
+                    assert gi == -math.inf
+                else:
+                    assert gi == pytest.approx(float(want), rel=1e-14)
+
+    def test_observation_at_extreme_states(self):
+        # x = 800 was -inf and x = -800 NaN when the variance e^x tau was
+        # formed first; y = 0 drops the (y^2 / tau) e^{-x} term
+        p = SvParams(mu=0.0, rho=0.5, sigma_v=0.2)
+        c = 0.5 * math.log(2 * math.pi)
+        x = np.array([800.0, -800.0])
+        assert np.allclose(sv_observation_logpdf(0.0, x, p), -c - x / 2,
+                           rtol=1e-15)
+        got = sv_observation_logpdf(1.5, x, p)
+        assert got[0] == pytest.approx(-c - 400.0, rel=1e-15)
+        assert got[1] == -math.inf
+        # an array of observations, one of them 0, at x = -800
+        got = sv_observation_logpdf(np.array([0.0, 1.5]), -800.0, p)
+        assert got[0] == pytest.approx(-c + 400.0, rel=1e-15)
+        assert got[1] == -math.inf
+
     def test_logpdfs_integrate_to_one(self):
         p = SvParams(mu=0.3, rho=0.9, sigma_v=0.4, tau=2.0)
         grid = np.linspace(-12, 12, 20_001)
