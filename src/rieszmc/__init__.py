@@ -14,7 +14,6 @@ from .energy import (
 from .pmh import (
     ChainOutput,
     ChainState,
-    GaussianPrior,
     IndependentPrior,
     LgssPhiFamily,
     PmhConfig,
@@ -42,9 +41,7 @@ from .smc import (
     RieszProposalSet,
     SvFilterModel,
     log_bias_mse,
-    multinomial_resample,
     run_filter,
-    systematic_resample,
 )
 from .ssm import (
     KalmanOutput,

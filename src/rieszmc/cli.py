@@ -20,6 +20,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -47,7 +48,6 @@ from .errors import (
     RieszmcError,
 )
 from .pmh import (
-    GaussianPrior,
     IndependentPrior,
     LgssPhiFamily,
     PmhConfig,
@@ -309,7 +309,7 @@ def load_prices_csv(path) -> ReturnsSeries:
 
     The header must contain columns named date and close (case-insensitive).
     Dates must increase strictly; a repeated or earlier date, like a
-    non-positive close, is rejected with its row number.
+    non-finite or non-positive close, is rejected with its row number.
     """
     path = Path(path)
     if not path.is_file():
@@ -347,6 +347,9 @@ def load_prices_csv(path) -> ReturnsSeries:
         except ValueError as exc:
             raise DataError(f"row {row_no}: close '{row[c_idx]}' is not "
                             "numeric") from exc
+        if not math.isfinite(close):
+            raise DataError(f"row {row_no}: close '{row[c_idx]}' is not "
+                            "finite")
         if close <= 0.0:
             raise NonPositivePrice(f"row {row_no}: close {close} <= 0")
         dates.append(raw_date)
@@ -395,6 +398,14 @@ def _generate(options: dict, n_points: int, seed: int):
     else:
         report = generate_configuration(oracle, params, cfg)
     return report, oracle, cdf_fn, quantile_fn, params
+
+
+def _covering_resolution(options: dict) -> int:
+    """Points of the grid the covering radius is measured on."""
+    resolution = options["covering_resolution"]
+    if resolution < 2:
+        raise ConfigError("covering_resolution must be at least 2")
+    return resolution
 
 
 def _config_diagnostics(report, oracle, cdf_fn, params,
@@ -446,6 +457,7 @@ def _lgss_data(options: dict):
 
 def _run_generate_points(cfg: ExperimentConfig) -> dict:
     opt = cfg.options
+    resolution = _covering_resolution(opt)
     report, oracle, cdf_fn, quantile_fn, params = _generate(
         opt, opt["n_points"], cfg.seed)
     config = report.configuration
@@ -457,12 +469,12 @@ def _run_generate_points(cfg: ExperimentConfig) -> dict:
     _write_csv(cfg.output_dir / "plotdata" / "energy_trace.csv",
                ["step", "log_energy"],
                list(enumerate(report.energy_trace, start=1)))
-    return _config_diagnostics(report, oracle, cdf_fn, params,
-                               opt["covering_resolution"])
+    return _config_diagnostics(report, oracle, cdf_fn, params, resolution)
 
 
 def _run_diagnostics(cfg: ExperimentConfig) -> dict:
     opt = cfg.options
+    resolution = _covering_resolution(opt)
     header = ["n", "min_separation", "covering_radius", "ks_statistic",
               "log_energy", "separation_product"]
     rows = []
@@ -472,7 +484,7 @@ def _run_diagnostics(cfg: ExperimentConfig) -> dict:
     for n, seed in zip(opt["n_values"], seeds):
         report, oracle, cdf_fn, quantile_fn, params = _generate(opt, n, seed)
         diag = _config_diagnostics(report, oracle, cdf_fn, params,
-                                   opt["covering_resolution"])
+                                   resolution)
         rows.append((n, diag["min_separation"], diag["covering_radius"],
                      diag["ks_statistic"], diag["log_energy"],
                      diag["separation_product"]))
@@ -535,6 +547,8 @@ def _pmh_common(opt: dict) -> tuple[int, int, int]:
         burn_in = iterations // 4
     if not 0 <= burn_in < iterations:
         raise ConfigError("burn_in must lie in [0, iterations)")
+    if opt["max_lag"] < 0:
+        raise ConfigError("max_lag must be nonnegative")
     max_lag = min(opt["max_lag"], iterations - burn_in - 1)
     return iterations, burn_in, max_lag
 
@@ -601,7 +615,7 @@ def _run_pmh_sv(cfg: ExperimentConfig) -> dict:
     (mu_mean, mu_std), (rho_mean, rho_std), (sv_mean, sv_std) = (
         opt["priors"][name] for name in SvFamily.theta_names)
     prior = IndependentPrior((
-        GaussianPrior(mu_mean, mu_std),
+        TruncatedGaussianPrior(mu_mean, mu_std),
         TruncatedGaussianPrior(rho_mean, rho_std, -1.0, 1.0),
         TruncatedGaussianPrior(sv_mean, sv_std, 0.0, np.inf),
     ))

@@ -28,6 +28,9 @@ from .errors import (
 
 KAPPA_FLOOR = 1e-3
 
+# Points per axis of a one-dimensional oracle's normalization grid.
+_NORM_RESOLUTION = 1024
+
 # pdist squares the coordinate differences, and below about 1.5e-154 the
 # square is subnormal or 0; min_separation measures such pairs again.
 _SQUARE_UNDERFLOW = 1e-150
@@ -122,16 +125,14 @@ class DensityOracle:
     """Evaluates a target log-density and its kappa transform on a box.
 
     ``log_density`` must accept an (m, d) array and return an (m,) array of
-    log-density values.  kappa(x) = max(-log f(x) + c0, kappa_floor) where c0
+    log-density values.  kappa(x) = max(-log f(x) + c0, KAPPA_FLOOR) where c0
     is fixed at construction so that the minimum of kappa over an evaluation
-    grid equals kappa_floor.
+    grid equals KAPPA_FLOOR.
     """
 
     log_density: Callable[[np.ndarray], np.ndarray]
     domain_low: np.ndarray
     domain_high: np.ndarray
-    kappa_floor: float = KAPPA_FLOOR
-    norm_resolution: int = 1024
     _kappa_offset: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
@@ -141,16 +142,14 @@ class DensityOracle:
             raise DimensionMismatch("domain_low and domain_high differ in shape")
         if not np.all(hi > lo):
             raise ValueError("domain_high must exceed domain_low on every axis")
-        if self.kappa_floor <= 0:
-            raise ValueError("kappa_floor must be positive")
         self.domain_low = lo
         self.domain_high = hi
         grid = self._normalization_grid()
         logf = np.asarray(self.log_density(grid), dtype=float)
         if not np.any(np.isfinite(logf)):
             raise DegenerateDensity("log-density is non-finite on the whole grid")
-        # min over grid of (-log f + c0) == kappa_floor
-        self._kappa_offset = self.kappa_floor + np.max(logf[np.isfinite(logf)])
+        # min over grid of (-log f + c0) == KAPPA_FLOOR
+        self._kappa_offset = KAPPA_FLOOR + np.max(logf[np.isfinite(logf)])
 
     @property
     def dim(self) -> int:
@@ -162,7 +161,7 @@ class DensityOracle:
 
     def _normalization_grid(self) -> np.ndarray:
         d = self.dim
-        per_axis = self.norm_resolution if d == 1 else (64 if d == 2 else 8)
+        per_axis = _NORM_RESOLUTION if d == 1 else (64 if d == 2 else 8)
         axes = [
             np.linspace(self.domain_low[j], self.domain_high[j], per_axis)
             for j in range(d)
@@ -175,11 +174,11 @@ class DensityOracle:
         scalar = pts.ndim == 1
         pts = np.atleast_2d(pts)
         logf = np.asarray(self.log_density(pts), dtype=float)
-        kap = np.maximum(-logf + self._kappa_offset, self.kappa_floor)
+        kap = np.maximum(-logf + self._kappa_offset, KAPPA_FLOOR)
         return float(kap[0]) if scalar else kap
 
     @classmethod
-    def uniform_box(cls, low, high, **kwargs) -> "DensityOracle":
+    def uniform_box(cls, low, high) -> "DensityOracle":
         lo = np.atleast_1d(np.asarray(low, dtype=float))
         hi = np.atleast_1d(np.asarray(high, dtype=float))
         log_const = -float(np.sum(np.log(hi - lo)))
@@ -187,11 +186,11 @@ class DensityOracle:
         def logf(x, _c=log_const):
             return np.full(np.atleast_2d(x).shape[0], _c)
 
-        return cls(logf, lo, hi, **kwargs)
+        return cls(logf, lo, hi)
 
     @classmethod
     def gaussian(cls, mean: float = 0.0, std: float = 1.0,
-                 half_width: float = 5.0, **kwargs) -> "DensityOracle":
+                 half_width: float = 5.0) -> "DensityOracle":
         if std <= 0:
             raise ValueError("std must be positive")
         const = -0.5 * np.log(2.0 * np.pi) - np.log(std)
@@ -200,8 +199,7 @@ class DensityOracle:
             z = (np.atleast_2d(x)[:, 0] - _m) / _s
             return _c - 0.5 * z * z
 
-        return cls(logf, [mean - half_width * std], [mean + half_width * std],
-                   **kwargs)
+        return cls(logf, [mean - half_width * std], [mean + half_width * std])
 
 
 # ---------------------------------------------------------------------------

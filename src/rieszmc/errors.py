@@ -69,10 +69,6 @@ class OriginReference(NumericalError):
 
 # -- smc --------------------------------------------------------------------
 
-class UnnormalizedWeights(NumericalError):
-    """Resampling weights do not sum to one."""
-
-
 class AllWeightsZero(NumericalError):
     """Every particle weight underflowed to zero."""
 

@@ -75,17 +75,10 @@ class ChainOutput:
 # priors
 
 @dataclass(frozen=True)
-class GaussianPrior:
-    mean: float
-    std: float
-
-    def logpdf(self, v: float) -> float:
-        z = (v - self.mean) / self.std
-        return -0.5 * (_LOG_2PI + z * z) - math.log(self.std)
-
-
-@dataclass(frozen=True)
 class TruncatedGaussianPrior:
+    """Normal prior truncated to (low, high); unbounded by default, where
+    the mass is 1 and the log-density is the plain normal's."""
+
     mean: float
     std: float
     low: float = -np.inf
@@ -155,7 +148,7 @@ class SvFamily:
     @staticmethod
     def default_prior() -> IndependentPrior:
         return IndependentPrior((
-            GaussianPrior(0.0, 1.0),
+            TruncatedGaussianPrior(0.0, 1.0),
             TruncatedGaussianPrior(0.95, 0.2, -1.0, 1.0),
             TruncatedGaussianPrior(0.2, 0.5, 0.0, np.inf),
         ))
@@ -174,17 +167,15 @@ def propose_theta(theta: np.ndarray, step_sizes: np.ndarray,
     return theta + steps * rng.standard_normal(theta.shape[0])
 
 
-def acceptance_log_ratio(current: ChainState, proposed: ChainState,
-                         log_q_ratio: float = 0.0) -> float:
+def acceptance_log_ratio(current: ChainState, proposed: ChainState) -> float:
     """Log acceptance ratio; -inf when the proposal has zero prior mass.
 
-    ``log_q_ratio`` is log q(theta | theta') - log q(theta' | theta) for
-    asymmetric proposals; it vanishes for the random walk.
+    The random walk is symmetric, so no proposal-density term enters.
     """
     if proposed.log_prior == -np.inf:
         return -np.inf
     return (proposed.log_lik_hat + proposed.log_prior
-            - current.log_lik_hat - current.log_prior + log_q_ratio)
+            - current.log_lik_hat - current.log_prior)
 
 
 def pmh_run(family, obs, prior, cfg: PmhConfig, *, theta0,

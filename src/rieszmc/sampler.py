@@ -53,14 +53,11 @@ class SamplerConfig:
     """Knobs of the greedy generator.
 
     candidate_count is the size of the uniform candidate pool per step,
-    refine_iters the number of coordinate-descent refinement passes around
-    the best candidate (0 disables refinement), max_retries the cap on
-    redraws, and seed fixes the random stream.
+    max_retries the cap on redraws, and seed fixes the random stream.
     """
 
     n_points: int
     candidate_count: int = 512
-    refine_iters: int = 0
     max_retries: int = 64
     seed: int = 0
 
@@ -69,8 +66,6 @@ class SamplerConfig:
             raise ValueError("n_points must be at least 2")
         if self.candidate_count < 8:
             raise ValueError("candidate_count must be at least 8")
-        if self.refine_iters < 0:
-            raise ValueError("refine_iters must be nonnegative")
         if self.max_retries < 1:
             raise ValueError("max_retries must be at least 1")
 
@@ -85,7 +80,11 @@ class GenerationReport:
     energy_trace: np.ndarray
 
 
-def initial_point(oracle: DensityOracle, grid_resolution: int = 1001) -> np.ndarray:
+# Points of the quadrature grid of initial_point.
+_GRID_RESOLUTION = 1001
+
+
+def initial_point(oracle: DensityOracle) -> np.ndarray:
     """Grid argmax of the partial expectation E(x) = int_0^x t f(t) dt.
 
     Trapezoidal quadrature on a uniform grid over the oracle's box; ties are
@@ -95,9 +94,8 @@ def initial_point(oracle: DensityOracle, grid_resolution: int = 1001) -> np.ndar
     """
     if oracle.dim != 1:
         raise DimensionUnsupported("initial_point is defined for d == 1")
-    if grid_resolution < 2:
-        raise ValueError("grid_resolution must be at least 2")
-    grid = np.linspace(oracle.domain_low[0], oracle.domain_high[0], grid_resolution)
+    grid = np.linspace(oracle.domain_low[0], oracle.domain_high[0],
+                       _GRID_RESOLUTION)
     logf = np.asarray(oracle.log_density(grid[:, None]), dtype=float)
     f = np.exp(logf)
     if not np.any(f > 0.0):
@@ -157,24 +155,6 @@ def _score_candidates(points: np.ndarray, kappas: np.ndarray,
     return best, float(scores[best])
 
 
-def _refine(best: np.ndarray, best_score: float, points, kappas,
-            oracle: DensityOracle, p: RieszParams, passes: int) -> tuple[np.ndarray, float]:
-    """Coordinate descent around the best candidate with halving steps."""
-    span = oracle.domain_high - oracle.domain_low
-    for it in range(passes):
-        step = span * (0.5 ** (it + 1)) / 8.0
-        for j in range(oracle.dim):
-            for sign in (-1.0, 1.0):
-                trial = best.copy()
-                trial[j] = np.clip(trial[j] + sign * step[j],
-                                   oracle.domain_low[j], oracle.domain_high[j])
-                _, score = _score_candidates(points, kappas, trial[None, :],
-                                             np.atleast_1d(oracle.kappa(trial)), p)
-                if score < best_score:
-                    best, best_score = trial, score
-    return best, best_score
-
-
 def _propose_scored(points: np.ndarray, kappas: np.ndarray, oracle: DensityOracle,
                     p: RieszParams, cfg: SamplerConfig, rng: np.random.Generator,
                     candidates=None) -> tuple[np.ndarray, float]:
@@ -194,11 +174,7 @@ def _propose_scored(points: np.ndarray, kappas: np.ndarray, oracle: DensityOracl
         best_idx, best_score = _score_candidates(points, kappas, cands,
                                                  cand_kappas, p)
         if best_idx >= 0:
-            best = cands[best_idx].copy()
-            if cfg.refine_iters > 0:
-                best, best_score = _refine(best, best_score, points,
-                                           kappas, oracle, p, cfg.refine_iters)
-            return best, best_score
+            return cands[best_idx].copy(), best_score
     raise NoValidCandidate(
         f"all candidates violated eps_dist after {retries} redraw(s)"
     )
@@ -242,8 +218,7 @@ def accept_candidate(x_new, x_last, r_min_current: float,
 
 
 def generate_configuration(oracle: DensityOracle, p: RieszParams,
-                           cfg: SamplerConfig, initial=None,
-                           grid_resolution: int = 1001) -> GenerationReport:
+                           cfg: SamplerConfig, initial=None) -> GenerationReport:
     """Run the full greedy loop and return the configuration plus bookkeeping.
 
     Deterministic given cfg.seed.  ``initial`` overrides the quadrature-based
@@ -261,7 +236,7 @@ def generate_configuration(oracle: DensityOracle, p: RieszParams,
         )
     rng = np.random.default_rng(cfg.seed)
     if initial is None:
-        x0 = initial_point(oracle, grid_resolution)
+        x0 = initial_point(oracle)
     else:
         x0 = np.atleast_1d(np.asarray(initial, dtype=float))
     n, d = cfg.n_points, oracle.dim
@@ -313,9 +288,9 @@ def generate_configuration(oracle: DensityOracle, p: RieszParams,
     )
 
 
-def quantile_mapped_configuration(target_oracle: DensityOracle, cdf_fn, quantile_fn,
-                                  p: RieszParams, cfg: SamplerConfig,
-                                  grid_resolution: int = 1001) -> GenerationReport:
+def quantile_mapped_configuration(target_oracle: DensityOracle, cdf_fn,
+                                  quantile_fn, p: RieszParams,
+                                  cfg: SamplerConfig) -> GenerationReport:
     """Generate in probability space and map through the target quantile function.
 
     A configuration for the uniform density on [F(lo), F(hi)] is generated
@@ -330,8 +305,7 @@ def quantile_mapped_configuration(target_oracle: DensityOracle, cdf_fn, quantile
     u_hi = float(cdf_fn(target_oracle.domain_high[0]))
     u_oracle = DensityOracle.uniform_box([u_lo], [u_hi])
     u_params = replace(p, d=1)
-    report = generate_configuration(u_oracle, u_params, cfg,
-                                    grid_resolution=grid_resolution)
+    report = generate_configuration(u_oracle, u_params, cfg)
     mapped = np.asarray(quantile_fn(report.configuration.points[:, 0]),
                         dtype=float).reshape(-1, 1)
     config = PointConfiguration(mapped, target_oracle.kappa(mapped), 1)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, wrightomega
 
 from .energy import DensityOracle, PointConfiguration, RieszParams
-from .errors import AllWeightsZero, LengthMismatch, UnnormalizedWeights
+from .errors import AllWeightsZero, LengthMismatch
 from .sampler import SamplerConfig, quantile_mapped_configuration
 from .ssm import (
     LgssParams,
@@ -375,13 +375,6 @@ class RieszProposalSet:
 # ---------------------------------------------------------------------------
 # filter operations
 
-def _checked_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-        raise UnnormalizedWeights("weights must be nonnegative and sum to 1")
-    return w
-
-
 def _multinomial_indices(w: np.ndarray, rng: np.random.Generator,
                          n: int) -> np.ndarray:
     edges = np.cumsum(w)
@@ -395,22 +388,6 @@ def _systematic_indices(w: np.ndarray, rng: np.random.Generator,
     edges = np.cumsum(w)
     edges[-1] = 1.0
     return np.searchsorted(edges, positions, side="right")
-
-
-def multinomial_resample(weights, rng: np.random.Generator,
-                         size: int | None = None) -> np.ndarray:
-    """n iid ancestor indices with P(index = j) = weights[j]."""
-    w = _checked_weights(weights)
-    n = w.shape[0] if size is None else size
-    return _multinomial_indices(w, rng, n).astype(np.int64)
-
-
-def systematic_resample(weights, rng: np.random.Generator,
-                        size: int | None = None) -> np.ndarray:
-    """Ancestor indices from a single jittered uniform comb."""
-    w = _checked_weights(weights)
-    n = w.shape[0] if size is None else size
-    return _systematic_indices(w, rng, n).astype(np.int64)
 
 
 def run_filter(model, obs, n: int, N_prime: int, riesz_params: RieszParams,
@@ -443,8 +420,6 @@ def run_filter(model, obs, n: int, N_prime: int, riesz_params: RieszParams,
             sampler_cfg = SamplerConfig(n_points=N_prime)
         proposal_set = RieszProposalSet.standard_normal(
             N_prime, riesz_params, sampler_cfg)
-    # the filter's own weights are normalised by construction, so it draws
-    # ancestors without the public resamplers' validation
     if proposal_set.spec.resampling == "multinomial":
         resample = _multinomial_indices
     else:

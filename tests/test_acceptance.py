@@ -139,7 +139,7 @@ def test_criterion_4_greedy_matches_bruteforce_argmin():
     """propose_next_point equals the exhaustive argmin on a fixed grid."""
     oracle = rm.DensityOracle.uniform_box([0.0], [1.0])
     grid = np.linspace(0.0, 1.0, 101)[:, None]
-    cfg = rm.SamplerConfig(n_points=2, refine_iters=0)
+    cfg = rm.SamplerConfig(n_points=2)
     rng = np.random.default_rng(0)
     exact_matches = 0
     for case in range(100):

@@ -91,6 +91,20 @@ class TestLoadPricesCsv:
         with pytest.raises(NonPositivePrice, match="row 3"):
             load_prices_csv(path)
 
+    @pytest.mark.parametrize("close", ["nan", "inf", "1e400"])
+    def test_non_finite_close_reports_row(self, tmp_path, capsys, close):
+        path = _write(tmp_path, "p.csv", "date,close\n2020-01-01,100\n"
+                      f"2020-01-02,{close}\n2020-01-03,101\n")
+        with pytest.raises(DataError, match="row 3.*not finite"):
+            load_prices_csv(path)
+        cfg = _write(tmp_path, "c.json", json.dumps({"input_path": str(path)}))
+        with pytest.raises(SystemExit) as exc:
+            main(["pmh-sv", "--config", str(cfg),
+                  "--output", str(tmp_path / "out")])
+        assert exc.value.code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError" and "row 3" in err["message"]
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyFile):
             load_prices_csv(_write(tmp_path, "e.csv", ""))
@@ -332,6 +346,12 @@ class TestMain:
         ("filter-lgss", {"riesz": {"d": 1.5}}),
         ("generate-points", {"output_dir": 5}),
         ("pmh-sv", {"input_path": 7}),
+        ("filter-lgss", {"sampler": {"refine_iters": 0}}),
+        ("generate-points", {"covering_resolution": 0}),
+        ("generate-points", {"covering_resolution": 1}),
+        ("diagnostics", {"covering_resolution": 1}),
+        ("pmh-lgss", {"max_lag": -1, "iterations": 5, "T": 5}),
+        ("pmh-sv", {"max_lag": -1, "iterations": 5}),
     ])
     def test_invalid_option_values_exit_2(self, tmp_path, capsys,
                                           experiment, options):

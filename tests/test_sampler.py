@@ -30,7 +30,7 @@ from rieszmc.errors import (
     NoValidCandidate,
     OriginReference,
 )
-from rieszmc.sampler import _score_candidates
+from rieszmc.sampler import _GRID_RESOLUTION, _score_candidates
 
 P40 = RieszParams(s=40.0, d=1, alpha=1.0, beta=2.0)
 UNIFORM01 = DensityOracle.uniform_box([0.0], [1.0])
@@ -38,25 +38,25 @@ UNIFORM01 = DensityOracle.uniform_box([0.0], [1.0])
 
 class TestInitialPoint:
     def test_uniform_density_maximizes_at_upper_edge(self):
-        x0 = initial_point(UNIFORM01, 1001)
+        x0 = initial_point(UNIFORM01)
         assert x0[0] == pytest.approx(1.0)
 
     def test_narrow_gaussian_saturates_past_the_mass(self):
         oracle = DensityOracle.gaussian(0.5, 0.1, 4.9)
         oracle = DensityOracle(oracle.log_density, [0.0], [1.0])
-        x0 = initial_point(oracle, 10_000)
+        x0 = initial_point(oracle)
         # partial expectation keeps growing wherever t f(t) > 0, so the
         # argmax sits within one grid cell of the upper edge
-        assert x0[0] >= 1.0 - 1.0 / 10_000 - 1e-12
-        grid = np.linspace(0.0, 1.0, 10_000)
+        assert x0[0] >= 1.0 - 1.0 / (_GRID_RESOLUTION - 1) - 1e-12
+        grid = np.linspace(0.0, 1.0, _GRID_RESOLUTION)
         f = np.exp(oracle.log_density(grid[:, None]))
         oracle_partial = cumulative_trapezoid(grid * f, grid, initial=0.0)
         assert x0[0] == grid[np.argmax(oracle_partial)]
 
     def test_truncated_normal_matches_quadrature_oracle(self):
         oracle = DensityOracle.gaussian(0.0, 1.0, 5.0)
-        x0 = initial_point(oracle, 2001)
-        grid = np.linspace(-5.0, 5.0, 2001)
+        x0 = initial_point(oracle)
+        grid = np.linspace(-5.0, 5.0, _GRID_RESOLUTION)
         f = np.exp(oracle.log_density(grid[:, None]))
         partial = cumulative_trapezoid(grid * f, grid, initial=0.0)
         assert x0[0] == grid[np.argmax(partial)]
@@ -71,12 +71,12 @@ class TestInitialPoint:
         dead = DensityOracle(lambda x: np.full(np.atleast_2d(x).shape[0],
                                                -1e9), [0.0], [1.0])
         with pytest.raises(DegenerateDensity):
-            initial_point(dead, 101)
+            initial_point(dead)
 
     def test_dimension_guard(self):
         box = DensityOracle.uniform_box([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(DimensionUnsupported):
-            initial_point(box, 101)
+            initial_point(box)
 
 
 class TestProposeNextPoint:
@@ -132,19 +132,6 @@ class TestProposeNextPoint:
         cfg = SamplerConfig(n_points=2, max_retries=2)
         with pytest.raises(NoValidCandidate):
             propose_next_point(c, oracle, p, cfg, rng)
-
-    def test_refinement_improves_score(self):
-        from rieszmc.sampler import _propose_scored
-        c = PointConfiguration.from_points([0.0, 1.0], UNIFORM01)
-        rng0 = np.random.default_rng(4)
-        cfg0 = SamplerConfig(n_points=3, candidate_count=16, refine_iters=0)
-        _, score0 = _propose_scored(c.points, c.kappa_values, UNIFORM01, P40,
-                                    cfg0, rng0)
-        rng1 = np.random.default_rng(4)
-        cfg1 = SamplerConfig(n_points=3, candidate_count=16, refine_iters=3)
-        _, score1 = _propose_scored(c.points, c.kappa_values, UNIFORM01, P40,
-                                    cfg1, rng1)
-        assert score1 <= score0
 
 
 def _full_scoring_argmin(points, kappas, cands, cand_kappas, p):
@@ -217,7 +204,6 @@ _PINNED = {
     "quantile-normal-300": "b1c8048c37afb597e3a33c0eb5f467d32df3eb32034454f7d1d8a5cb6d302dcb",
     "box-2d-200": "3f3b674c0b9d437a2a4d34611abcb6a4dda881ed9b949561047019639f508d3f",
     "alpha-minus-one-60": "c90c2f33c00476bd1c3b5ae75cc837e0d4388b963f0f9e4f462b4cdcda954575",
-    "refined-40": "4bd073e6ba20b58162992588043c22fe67fff21a5ab4321d90e326f60e66efd3",
 }
 
 
@@ -234,12 +220,9 @@ def _pinned_run(name):
             DensityOracle.uniform_box([0.0, 0.0], [1.0, 1.0]),
             RieszParams(s=10.0, d=2), SamplerConfig(n_points=200, seed=5),
             initial=[0.3, 0.6])
-    if name == "alpha-minus-one-60":
-        return generate_configuration(
-            UNIFORM01, RieszParams(s=40.0, d=1, alpha=-1.0, beta=2.0),
-            SamplerConfig(n_points=60, seed=2))
     return generate_configuration(
-        UNIFORM01, P40, SamplerConfig(n_points=40, seed=3, refine_iters=2))
+        UNIFORM01, RieszParams(s=40.0, d=1, alpha=-1.0, beta=2.0),
+        SamplerConfig(n_points=60, seed=2))
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED))
