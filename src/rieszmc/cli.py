@@ -443,6 +443,15 @@ def _proposal_set(opt: dict, seed: int) -> RieszProposalSet:
         ProposalSpec(**opt["proposal"]))
 
 
+def _prior(key: str, mean, std, low=-np.inf, high=np.inf):
+    """The truncated normal prior of config key ``key``; a std the library
+    rejects is a ConfigError naming the key."""
+    try:
+        return TruncatedGaussianPrior(mean, std, low, high)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key}: {exc}") from exc
+
+
 def _lgss_data(options: dict):
     """LGSS parameters, x0 and the simulated record of a config."""
     m = options["model"]
@@ -501,6 +510,8 @@ def _run_filter_lgss(cfg: ExperimentConfig) -> dict:
     opt = cfg.options
     params, x0, traj = _lgss_data(opt)
     T, n_seeds = opt["T"], opt["n_seeds"]
+    if n_seeds < 1:
+        raise ConfigError("n_seeds must be at least 1")
     oracle_out = kalman_filter(params, traj.observations, x0, 0.0)
     model = LgssFilterModel(params, x0)
     ss = np.random.SeedSequence(cfg.seed)
@@ -567,8 +578,8 @@ def _run_pmh_lgss(cfg: ExperimentConfig) -> dict:
     opt = cfg.options
     params, x0, traj = _lgss_data(opt)
     family = LgssPhiFamily(params.sigma_v, params.sigma_o, x0)
-    prior = IndependentPrior((TruncatedGaussianPrior(
-        opt["prior"]["mean"], opt["prior"]["std"], -1.0, 1.0),))
+    prior = IndependentPrior((_prior(
+        "prior.std", opt["prior"]["mean"], opt["prior"]["std"], -1.0, 1.0),))
     iterations, burn_in, max_lag = _pmh_common(opt)
     results = []
     trace_rows = []
@@ -615,9 +626,9 @@ def _run_pmh_sv(cfg: ExperimentConfig) -> dict:
     (mu_mean, mu_std), (rho_mean, rho_std), (sv_mean, sv_std) = (
         opt["priors"][name] for name in SvFamily.theta_names)
     prior = IndependentPrior((
-        TruncatedGaussianPrior(mu_mean, mu_std),
-        TruncatedGaussianPrior(rho_mean, rho_std, -1.0, 1.0),
-        TruncatedGaussianPrior(sv_mean, sv_std, 0.0, np.inf),
+        _prior("priors.mu", mu_mean, mu_std),
+        _prior("priors.rho", rho_mean, rho_std, -1.0, 1.0),
+        _prior("priors.sigma_v", sv_mean, sv_std, 0.0, np.inf),
     ))
     iterations, burn_in, max_lag = _pmh_common(opt)
     chain_seed, vol_seed, pset_seed = _child_seeds(

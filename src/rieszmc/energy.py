@@ -5,6 +5,11 @@ weight exponent is (bracket)^(-20), so the raw potential w / r^s overflows
 double precision for r below roughly 0.1.  The configuration energy is
 therefore reported as log(sum of pair potentials) / s, combined with
 log-sum-exp.
+
+The distances and the log-sum-exp repeat, in numpy, the arithmetic of
+scipy's ``cdist``/``pdist`` and ``scipy.special.logsumexp``, so their
+results are the same bit for bit while the package loads only
+``scipy.special``.
 """
 
 from __future__ import annotations
@@ -13,8 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
-from scipy.special import logsumexp
 
 from .errors import (
     DegenerateDensity,
@@ -31,8 +34,8 @@ KAPPA_FLOOR = 1e-3
 # Points per axis of a one-dimensional oracle's normalization grid.
 _NORM_RESOLUTION = 1024
 
-# pdist squares the coordinate differences, and below about 1.5e-154 the
-# square is subnormal or 0; min_separation measures such pairs again.
+# Distances square the coordinate differences, and below about 1.5e-154
+# the square is subnormal or 0; min_separation measures such pairs again.
 _SQUARE_UNDERFLOW = 1e-150
 
 
@@ -203,6 +206,56 @@ class DensityOracle:
 
 
 # ---------------------------------------------------------------------------
+# distances and log-sum-exp
+
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean norms of a - b over the last axis, a and b broadcast.
+
+    Per pair this is scipy's cdist/pdist arithmetic: the squared coordinate
+    differences summed in axis order, then the square root.  Overflow and
+    inf - inf give inf and NaN without a warning, as there.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.subtract(a, b)
+        sq *= sq
+        r = sq[..., 0]
+        for j in range(1, sq.shape[-1]):
+            r = r + sq[..., j]
+        return np.sqrt(r, out=r)
+
+
+def _pdist(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distances of the pairs i < j in row-major order (scipy's pdist), with
+    the pair indices."""
+    iu, ju = np.triu_indices(points.shape[0], k=1)
+    return distances(points[iu], points[ju]), iu, ju
+
+
+def row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a C-ordered (m, k) array, with the
+    arithmetic of ``scipy.special.logsumexp(a, axis=1)``.
+
+    Each row's max entries are masked out of the shifted sum s and counted,
+    and the result is log1p(s / count) + log(count) + max.  Rows where that
+    is not finite (all -inf, an +inf entry, overflow) take
+    log(sum(exp(row))), as scipy does.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = a.max(axis=1, keepdims=True)
+        at_top = a == top
+        count = at_top.sum(axis=1, dtype=float)
+        shifted = np.where(at_top, -np.inf, a)
+        shifted -= top
+        s = np.exp(shifted, out=shifted).sum(axis=1)
+        out = np.log1p(s / count) + np.log(count) + top[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            with np.errstate(over="ignore"):
+                out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # pair potential
 
 def log_pair_energy(xi, xj, ki: float, kj: float, p: RieszParams) -> float:
@@ -230,7 +283,7 @@ def pair_log_energies(points_a: np.ndarray, kappas_a: np.ndarray,
     """
     a_pts = np.atleast_2d(np.asarray(points_a, dtype=float))
     b_pts = np.atleast_2d(np.asarray(points_b, dtype=float))
-    return log_pair_terms(cdist(a_pts, b_pts),
+    return log_pair_terms(distances(a_pts[:, None], b_pts),
                           np.outer(kappas_a, kappas_b), p)
 
 
@@ -244,13 +297,13 @@ def log_pair_terms(r: np.ndarray, kappa_products: np.ndarray,
     """
     bracket = p.alpha * kappa_products + p.beta * r
     valid = (r >= p.eps_dist) & (bracket > 0.0)
-    safe_bracket = np.where(valid, bracket, 1.0)
-    safe_r = np.where(valid, r, 1.0)
-    log_e = np.where(
-        valid,
-        np.power(safe_bracket, p.bracket_exponent) - p.s * np.log(safe_r),
-        np.inf,
-    )
+    all_valid = valid.all()
+    if not all_valid:
+        bracket = np.where(valid, bracket, 1.0)
+        r = np.where(valid, r, 1.0)
+    log_e = np.power(bracket, p.bracket_exponent) - p.s * np.log(r)
+    if not all_valid:
+        log_e = np.where(valid, log_e, np.inf)
     return log_e, valid
 
 
@@ -262,15 +315,14 @@ def config_energy(c: PointConfiguration, p: RieszParams) -> float:
     """
     if c.n < 2:
         raise TooFewPoints("config_energy requires at least two points")
-    r = pdist(c.points)
+    r, iu, ju = _pdist(c.points)
     if np.any(r < p.eps_dist):
         raise DegenerateDistance("configuration violates the eps_dist guard")
-    iu, ju = np.triu_indices(c.n, k=1)
     log_terms, valid = log_pair_terms(
         r, c.kappa_values[iu] * c.kappa_values[ju], p)
     if not np.all(valid):
         raise NonPositiveBracket("a pair bracket is non-positive")
-    return float(logsumexp(log_terms) / p.s)
+    return float(row_logsumexp(log_terms[None, :])[0] / p.s)
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +332,15 @@ def min_separation(c: PointConfiguration) -> float:
     """Minimum pairwise distance of the configuration.
 
     It stays exact where the squared distance underflows, so distinct
-    points never read 0: the pairs that pdist puts below _SQUARE_UNDERFLOW
-    are measured again with np.hypot, which scales instead of squaring.
+    points never read 0: the pairs whose squared distance puts them below
+    _SQUARE_UNDERFLOW are measured again with np.hypot, which scales
+    instead of squaring.
     """
     if c.n < 2:
         raise TooFewPoints("min_separation requires at least two points")
-    r = pdist(c.points)
+    r, iu, ju = _pdist(c.points)
     close = np.flatnonzero(r < _SQUARE_UNDERFLOW)
     if close.size:
-        iu, ju = np.triu_indices(c.n, k=1)
         r[close] = np.hypot.reduce(c.points[iu[close]] - c.points[ju[close]],
                                    axis=1)
     return float(r.min())
@@ -307,7 +359,7 @@ def covering_radius(c: PointConfiguration, reference) -> float:
         raise DimensionMismatch(
             f"reference dimension {ref.shape[1]} != configuration dimension {c.dim}"
         )
-    return float(cdist(ref, c.points).min(axis=1).max())
+    return float(distances(ref[:, None], c.points).min(axis=1).max())
 
 
 def uniformity_statistic(c: PointConfiguration, target_cdf) -> float:

@@ -84,6 +84,10 @@ class TruncatedGaussianPrior:
     low: float = -np.inf
     high: float = np.inf
 
+    def __post_init__(self):
+        if not self.std > 0:
+            raise ValueError(f"std must be positive, got {self.std}")
+
     def logpdf(self, v: float) -> float:
         if not self.low < v < self.high:
             return -np.inf

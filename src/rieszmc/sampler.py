@@ -7,20 +7,22 @@ screened by a distance/ratio acceptance rule before it joins the
 configuration.  Candidate scoring consumes no randomness; the random stream
 is owned by the generation loop alone.
 
-Scoring is an exact branch-and-bound.  Each candidate is first scored
-against only the few points next to it in first-coordinate order.  Every
-pair term is a real log potential, so the log-sum-exp over any subset of a
-candidate's terms is at most the log-sum-exp over all of them: the window
-score is a lower bound on the full score, in any dimension and for any
-alpha, and an invalid pair in the window makes the candidate invalid.  The
-candidates with the smallest bounds are scored in full; the best of those
-is a threshold, and only candidates whose bound does not exceed it can be
-the argmin, so only those are scored in full as well.  At s = 40 the
-nearest neighbours dominate the potential, the bound is tight, and about
-one full row is scored per step instead of candidate_count rows.  Full
-scores come from the same row arithmetic as an unpruned pass, so the
-argmin, its score and every generated configuration are unchanged bit for
-bit.
+Scoring is an exact branch-and-bound.  Each candidate is first bounded
+by the few points next to it in first-coordinate order: the largest of
+those pair terms.  Every pair term is a real log potential, and a
+log-sum-exp is at least its largest term, so the bound never exceeds the
+candidate's full score, in any dimension and for any alpha; an invalid pair
+in the window makes the candidate invalid.  The candidates with the
+smallest bounds are scored in full; the best of those is a threshold, and
+only candidates whose bound does not exceed it can be the argmin, so only
+those are scored in full as well, and the threshold rows' scores are
+reused.  At s = 40 the nearest neighbour dominates the potential and the
+bound is tight: in 1-D the few threshold rows are nearly always the only
+rows scored in full, instead of candidate_count rows.  Full scores come
+from the same row arithmetic as an unpruned pass, so the argmin, its score
+and every generated configuration are unchanged bit for bit.  The
+generation loop keeps its points in first-coordinate order as it inserts
+them, so scoring sorts nothing.
 """
 
 from __future__ import annotations
@@ -28,16 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.special import logsumexp
 
 from .energy import (
     DensityOracle,
     PointConfiguration,
     RieszParams,
+    distances,
     log_pair_terms,
     min_separation,
     pair_log_energies,
+    row_logsumexp,
 )
 from .errors import (
     BudgetExhausted,
@@ -100,63 +102,81 @@ def initial_point(oracle: DensityOracle) -> np.ndarray:
     f = np.exp(logf)
     if not np.any(f > 0.0):
         raise DegenerateDensity("density is zero on the whole grid")
-    partial = cumulative_trapezoid(grid * f, grid, initial=0.0)
+    # scipy's cumulative_trapezoid(grid * f, grid, initial=0)
+    tf = grid * f
+    partial = np.concatenate(
+        ([0.0], np.cumsum(np.diff(grid) * (tf[1:] + tf[:-1]) / 2.0)))
     return np.array([grid[int(np.argmax(partial))]])
 
 
 # Neighbours on each side of a candidate, in first-coordinate order, whose
-# pair terms make up the candidate's lower bound.
+# largest pair term is the candidate's lower bound.
 _K = 2
 # Candidates with the smallest bounds whose full rows set the pruning
 # threshold.
 _N_THRESHOLD = 4
-# Bounds, threshold and full scores differ from exact arithmetic only by
-# rounding (log-sum-exps taken in different orders, distances recomputed);
-# the slack is orders of magnitude above that and only ever keeps more
+# A window term is computed as the same term of the full row, and a row's
+# log-sum-exp is its largest term plus log1p(.) + log(count) >= 0, so bound
+# <= score holds in floating point too.  The slack guards against a ufunc
+# that rounds differently on another array layout; it only ever keeps more
 # candidates, so it costs time, never exactness.
 _PRUNE_SLACK = 1e-9
 
 
 def _score_candidates(points: np.ndarray, kappas: np.ndarray,
-                      cands: np.ndarray, cand_kappas: np.ndarray,
+                      order: np.ndarray, cands: np.ndarray,
+                      cand_kappas: np.ndarray,
                       p: RieszParams) -> tuple[int, float]:
     """Index and score of the first candidate with the smallest incremental
     log criterion, or (-1, inf) when no candidate is valid.
 
-    Equal to the argmin of a full scoring of every candidate: candidates
-    whose window lower bound exceeds a threshold taken from full rows cannot
-    be the argmin and are never scored in full.
+    ``order`` sorts the points by their first coordinate.  Equal to the
+    argmin of a full scoring of every candidate: candidates whose window
+    bound exceeds a threshold taken from full rows cannot be the argmin and
+    are never scored in full.
     """
     m, k = cands.shape[0], points.shape[0]
     w = min(2 * _K, k)
-    order = np.argsort(points[:, 0])
-    pos = np.searchsorted(points[order, 0], cands[:, 0])
-    nb = order[np.clip(pos - _K, 0, k - w)[:, None] + np.arange(w)]
-    r = np.sqrt(((cands[:, None, :] - points[nb]) ** 2).sum(axis=2))
-    window_e, _ = log_pair_terms(r, cand_kappas[:, None] * kappas[nb], p)
-    bound = np.logaddexp.reduce(window_e, axis=1)
+    start = points[order, 0].searchsorted(cands[:, 0]) - _K
+    nb = order[np.clip(start, 0, k - w) + np.arange(w)[:, None]]  # (w, m)
+    window_e, _ = log_pair_terms(distances(points[nb], cands),
+                                 kappas[nb] * cand_kappas, p)
+    bound = window_e.max(axis=0)
 
     first = (np.argpartition(bound, _N_THRESHOLD - 1)[:_N_THRESHOLD]
-             if m > _N_THRESHOLD else slice(None))
-    first_e, _ = pair_log_energies(cands[first], cand_kappas[first],
-                                   points, kappas, p)
-    threshold = np.logaddexp.reduce(first_e, axis=1).min()
-    keep = np.flatnonzero(
-        bound <= threshold + _PRUNE_SLACK * (1.0 + abs(threshold)))
-
-    log_e, valid = pair_log_energies(cands[keep], cand_kappas[keep],
-                                     points, kappas, p)
-    ok = valid.all(axis=1)
-    if not np.any(ok):
-        return -1, np.inf
+             if m > _N_THRESHOLD else np.arange(m))
     scores = np.full(m, np.inf)
-    scores[keep[ok]] = logsumexp(log_e[ok], axis=1)
+    scores[first], any_ok = _full_scores(first, points, kappas, cands,
+                                         cand_kappas, p)
+    threshold = scores[first].min()
+    rest = bound <= threshold + _PRUNE_SLACK * (1.0 + abs(threshold))
+    rest[first] = False
+    rest = np.flatnonzero(rest)
+    if rest.size:
+        scores[rest], rest_ok = _full_scores(rest, points, kappas, cands,
+                                             cand_kappas, p)
+        any_ok |= rest_ok
+    if not any_ok:
+        return -1, np.inf
     best = int(np.argmin(scores))
     return best, float(scores[best])
 
 
-def _propose_scored(points: np.ndarray, kappas: np.ndarray, oracle: DensityOracle,
-                    p: RieszParams, cfg: SamplerConfig, rng: np.random.Generator,
+def _full_scores(rows: np.ndarray, points: np.ndarray, kappas: np.ndarray,
+                 cands: np.ndarray, cand_kappas: np.ndarray,
+                 p: RieszParams) -> tuple[np.ndarray, bool]:
+    """Full scores of the candidates ``rows``, and whether any is valid.
+
+    An invalid pair holds +inf, so an invalid candidate scores inf.
+    """
+    log_e, valid = pair_log_energies(cands[rows], cand_kappas[rows],
+                                     points, kappas, p)
+    return row_logsumexp(log_e), bool(valid.all(axis=1).any())
+
+
+def _propose_scored(points: np.ndarray, kappas: np.ndarray, order: np.ndarray,
+                    oracle: DensityOracle, p: RieszParams, cfg: SamplerConfig,
+                    rng: np.random.Generator,
                     candidates=None) -> tuple[np.ndarray, float]:
     if points.shape[0] < 1:
         raise ValueError("configuration must be non-empty")
@@ -171,8 +191,8 @@ def _propose_scored(points: np.ndarray, kappas: np.ndarray, oracle: DensityOracl
             cands = rng.uniform(oracle.domain_low, oracle.domain_high,
                                 size=(cfg.candidate_count, oracle.dim))
         cand_kappas = np.atleast_1d(oracle.kappa(cands))
-        best_idx, best_score = _score_candidates(points, kappas, cands,
-                                                 cand_kappas, p)
+        best_idx, best_score = _score_candidates(points, kappas, order,
+                                                 cands, cand_kappas, p)
         if best_idx >= 0:
             return cands[best_idx].copy(), best_score
     raise NoValidCandidate(
@@ -189,8 +209,9 @@ def propose_next_point(c: PointConfiguration, oracle: DensityOracle,
     pool is supplied, in which case the argmin over that pool is returned
     (ties break toward the first index).
     """
-    point, _ = _propose_scored(c.points, c.kappa_values, oracle, p, cfg, rng,
-                               candidates)
+    point, _ = _propose_scored(c.points, c.kappa_values,
+                               np.argsort(c.points[:, 0]), oracle, p, cfg,
+                               rng, candidates)
     return point
 
 
@@ -244,6 +265,8 @@ def generate_configuration(oracle: DensityOracle, p: RieszParams,
     kappas = np.empty(n)
     points[0] = x0
     kappas[0] = oracle.kappa(x0)
+    # indices of the placed points in first-coordinate order
+    order = np.zeros(n, dtype=np.intp)
     diameter = oracle.diameter
     rejected = 0
     trace = np.empty(n - 1)
@@ -258,7 +281,8 @@ def generate_configuration(oracle: DensityOracle, p: RieszParams,
             attempts += 1
             try:
                 cand, cand_score = _propose_scored(points[:k], kappas[:k],
-                                                   oracle, p, cfg, rng)
+                                                   order[:k], oracle, p, cfg,
+                                                   rng)
             except NoValidCandidate:
                 rejected += cfg.candidate_count
                 continue
@@ -268,6 +292,9 @@ def generate_configuration(oracle: DensityOracle, p: RieszParams,
                 r_min = min(r_min, float(dists.min()))
                 total_log_energy = np.logaddexp(total_log_energy, cand_score)
                 trace[k - 1] = total_log_energy / p.s
+                at = points[order[:k], 0].searchsorted(cand[0])
+                order[at + 1:k + 1] = order[at:k]
+                order[at] = k
                 points[k] = cand
                 kappas[k] = oracle.kappa(cand)
                 k += 1

@@ -63,10 +63,10 @@ def _search_unsorted(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     each key's index does not depend on the others, so it is the same array.
     """
     if v.shape[0] < _SORTED_SEARCH_MIN:
-        return np.searchsorted(a, v, side="right")
-    order = np.argsort(v)
+        return a.searchsorted(v, side="right")
+    order = v.argsort()
     out = np.empty(v.shape[0], dtype=np.intp)
-    out[order] = np.searchsorted(a, v[order], side="right")
+    out[order] = a.searchsorted(v[order], side="right")
     return out
 
 
@@ -304,7 +304,7 @@ class RieszProposalSet:
         compares false.
         """
         if r.shape[0] < _CELL_RANK_MIN:
-            return np.searchsorted(self._sorted_z, r, side="right")
+            return self._sorted_z.searchsorted(r, side="right")
         first = self._first[self._cell(r)]
         k = first + (self._zpad[first] <= r)
         for t in range(1, self._depth):
@@ -377,7 +377,7 @@ class RieszProposalSet:
 
 def _multinomial_indices(w: np.ndarray, rng: np.random.Generator,
                          n: int) -> np.ndarray:
-    edges = np.cumsum(w)
+    edges = w.cumsum()
     edges[-1] = 1.0
     return _search_unsorted(edges, rng.random(n))
 
@@ -385,9 +385,9 @@ def _multinomial_indices(w: np.ndarray, rng: np.random.Generator,
 def _systematic_indices(w: np.ndarray, rng: np.random.Generator,
                         n: int) -> np.ndarray:
     positions = (np.arange(n) + rng.random()) / n
-    edges = np.cumsum(w)
+    edges = w.cumsum()
     edges[-1] = 1.0
-    return np.searchsorted(edges, positions, side="right")
+    return edges.searchsorted(positions, side="right")
 
 
 def run_filter(model, obs, n: int, N_prime: int, riesz_params: RieszParams,
@@ -454,9 +454,9 @@ def run_filter(model, obs, n: int, N_prime: int, riesz_params: RieszParams,
         if record_percentiles:
             # weighted 2.5% / 97.5% quantiles: the smallest particle whose
             # cumulative weight reaches each level
-            order = np.argsort(x)
-            cum = np.cumsum(w_norm[order])
-            at = np.searchsorted(cum, _BAND_LEVELS)
+            order = x.argsort()
+            cum = w_norm[order].cumsum()
+            at = cum.searchsorted(_BAND_LEVELS)
             lo[t], hi[t] = x[order[np.minimum(at, n - 1)]]
     return FilterOutput(means_out, float(loglik), ess_out, lo, hi)
 

@@ -3,14 +3,19 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import rieszmc
 from rieszmc import RieszProposalSet
 from rieszmc.cli import (
+    _RUNNERS,
     bundled_prices_path,
     format_float,
     load_config,
@@ -352,6 +357,10 @@ class TestMain:
         ("diagnostics", {"covering_resolution": 1}),
         ("pmh-lgss", {"max_lag": -1, "iterations": 5, "T": 5}),
         ("pmh-sv", {"max_lag": -1, "iterations": 5}),
+        ("pmh-lgss", {"prior": {"std": 0}, "iterations": 5, "T": 5}),
+        ("pmh-lgss", {"prior": {"std": -0.5}, "iterations": 5, "T": 5}),
+        ("pmh-sv", {"priors": {"mu": [0.0, 0.0]}, "iterations": 5}),
+        ("filter-lgss", {"n_seeds": 0}),
     ])
     def test_invalid_option_values_exit_2(self, tmp_path, capsys,
                                           experiment, options):
@@ -365,6 +374,21 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert err["exit_code"] == 2
+
+    @pytest.mark.parametrize("experiment, options, key", [
+        ("pmh-lgss", {"prior": {"std": 0}}, "prior.std"),
+        ("pmh-lgss", {"prior": {"std": -0.5}}, "prior.std"),
+        ("pmh-sv", {"priors": {"mu": [0.0, 0.0]}}, "priors.mu"),
+        ("pmh-sv", {"priors": {"sigma_v": [0.2, -1.0]}}, "priors.sigma_v"),
+        ("filter-lgss", {"n_seeds": 0}, "n_seeds"),
+    ])
+    def test_rejected_value_names_its_key(self, tmp_path, experiment,
+                                          options, key):
+        cfg = load_config(experiment, _write(tmp_path, "c.json",
+                                             json.dumps(options)),
+                          output_dir=tmp_path / "out")
+        with pytest.raises(ConfigError, match=key):
+            _RUNNERS[experiment](cfg)
 
     def test_success_run(self, tmp_path):
         cfg_path = _write(tmp_path, "c.json",
@@ -442,3 +466,17 @@ def test_seeded_outputs_are_pinned(tmp_path, experiment):
     got = {f.relative_to(out).as_posix():
            hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
     assert got == want
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    """The package needs only scipy.special; loading scipy.integrate,
+    .spatial, .sparse or .linalg would add a third of the start-up time."""
+    code = ("import sys, rieszmc.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'integrate'], "
+            "['scipy', 'spatial'], ['scipy', 'sparse'], ['scipy', 'linalg'])))")
+    src = str(Path(rieszmc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

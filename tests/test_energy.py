@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.spatial.distance import cdist, pdist
+from scipy.special import logsumexp, ndtr
 from scipy.stats import kstest
 
 from rieszmc import (
@@ -17,6 +18,7 @@ from rieszmc import (
     min_separation,
     uniformity_statistic,
 )
+from rieszmc.energy import _pdist, distances, row_logsumexp
 from rieszmc.errors import (
     DegenerateDistance,
     DimensionMismatch,
@@ -29,6 +31,60 @@ from rieszmc.errors import (
 from conftest import random_configuration
 
 P40 = RieszParams(s=40.0, d=1, alpha=1.0, beta=2.0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestScipyArithmetic:
+    """The numpy distances and log-sum-exp equal scipy's bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_distances_equal_cdist_and_pdist(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(37, d)) * np.exp(rng.uniform(-20, 20, (37, 1)))
+        b = rng.normal(size=(23, d)) * 3.0
+        # coincident rows, rows apart by a subnormal square, and huge rows
+        a[:3] = b[:3]
+        a[3], b[3] = 1e-160, -1e-160
+        a[4], a[5] = 1e300, -1e300
+        assert np.array_equal(_bits(distances(a[:, None], b)),
+                              _bits(cdist(a, b)))
+        assert np.array_equal(_bits(_pdist(a)[0]), _bits(pdist(a)))
+
+    def test_distances_overflow_silently(self):
+        a = np.array([[1e300, 0.0], [-1e300, 0.0], [np.inf, 1.0]])
+        with np.errstate(all="raise", under="ignore"):
+            r, _, _ = _pdist(a)
+        assert np.array_equal(r, pdist(a))
+
+    def test_row_logsumexp_equals_scipy(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(12, 9)) * 50.0
+        a[0] = 3.0                        # every entry tied at the max
+        a[1, [2, 5]] = a[1].max() + 1.0   # two tied maxima
+        a[2, [0, 4, 8]] = -np.inf
+        a[3, 3] = np.inf
+        a[4] = -np.inf                    # an all -inf row
+        a[5, [1, 6]] = np.inf
+        a[6, 0] = 1e308                   # the shifted form overflows
+        a[6, 1] = 1e308
+        a[7, :] = -1e300
+        with np.errstate(all="raise", under="ignore"):
+            got = row_logsumexp(a)
+        want = logsumexp(a, axis=1)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 9, 300, 1000])
+    def test_row_logsumexp_equals_scipy_on_random_rows(self, k):
+        # log1p(s / count) + log(count) and log(count + s) differ in the
+        # last bit on a few percent of such rows
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(500, k)) * rng.uniform(0.1, 50.0, (500, 1))
+        assert np.array_equal(_bits(row_logsumexp(a)),
+                              _bits(logsumexp(a, axis=1)))
+        assert _bits(row_logsumexp(a[:1])[0]) == _bits(logsumexp(a[0]))
 
 
 class TestRieszParams:

@@ -258,3 +258,8 @@ class TestPriors:
                 + TruncatedGaussianPrior(0.0, 1.0, 0.0, np.inf).logpdf(0.5))
         assert got == pytest.approx(want, rel=1e-12)
         assert prior.log_prior(np.array([0.5, -0.5])) == -np.inf
+
+    @pytest.mark.parametrize("std", [0.0, -0.5, float("nan")])
+    def test_nonpositive_std_is_rejected(self, std):
+        with pytest.raises(ValueError, match="std must be positive"):
+            TruncatedGaussianPrior(0.0, std)

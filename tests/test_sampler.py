@@ -180,7 +180,8 @@ class TestScoreCandidates:
     def test_pruned_argmin_matches_full_scoring(self):
         n_cases = 0
         for pts, kap, cands, cand_kap, params in _pools():
-            got = _score_candidates(pts, kap, cands, cand_kap, params)
+            got = _score_candidates(pts, kap, np.argsort(pts[:, 0]), cands,
+                                    cand_kap, params)
             want = _full_scoring_argmin(pts, kap, cands, cand_kap, params)
             assert got == want
             n_cases += 1
@@ -188,11 +189,12 @@ class TestScoreCandidates:
 
     def test_ties_go_to_the_first_index(self):
         pts, kap = np.array([[0.5]]), np.ones(1)
-        assert _score_candidates(pts, kap, np.array([[0.75], [0.25]]),
+        assert _score_candidates(pts, kap, np.arange(1),
+                                 np.array([[0.75], [0.25]]),
                                  np.ones(2), P40)[0] == 0
         cands = np.array([[0.1], [0.3], [0.1], [0.3]])
         idx, _ = _score_candidates(np.array([[0.9], [0.95]]), np.ones(2),
-                                   cands, np.ones(4), P40)
+                                   np.arange(2), cands, np.ones(4), P40)
         assert idx == 0
 
 
@@ -282,6 +284,22 @@ class TestGenerateConfiguration:
         assert np.array_equal(a.energy_trace, b.energy_trace)
         assert a.rejected_candidates == b.rejected_candidates
         assert a.final_min_separation == b.final_min_separation
+
+    def test_scoring_sees_the_points_in_first_coordinate_order(
+            self, monkeypatch):
+        # a stale order would leave every result exact (the window stays a
+        # subset of each candidate's terms) but make the bound useless
+        sizes = []
+
+        def checked(points, kappas, order, *rest):
+            assert np.array_equal(order, np.argsort(points[:, 0]))
+            sizes.append(points.shape[0])
+            return _score_candidates(points, kappas, order, *rest)
+
+        monkeypatch.setattr("rieszmc.sampler._score_candidates", checked)
+        generate_configuration(UNIFORM01, P40,
+                               SamplerConfig(n_points=40, seed=3))
+        assert max(sizes) == 39
 
     def test_report_invariants(self):
         cfg = SamplerConfig(n_points=30, seed=7)
