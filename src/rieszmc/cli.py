@@ -388,9 +388,15 @@ def _build_target(options: dict):
     raise ConfigError(f"unknown target '{target}'")
 
 
+def _riesz_params(options: dict) -> RieszParams:
+    if options["riesz"]["d"] != 1:  # every configuration here is 1-D
+        raise ConfigError("config key riesz.d must be 1")
+    return RieszParams(**options["riesz"])
+
+
 def _generate(options: dict, n_points: int, seed: int):
     oracle, cdf_fn, quantile_fn = _build_target(options)
-    params = RieszParams(**options["riesz"])
+    params = _riesz_params(options)
     cfg = SamplerConfig(n_points=n_points, seed=seed, **options["sampler"])
     if options["quantile_mapped"]:
         report = quantile_mapped_configuration(oracle, cdf_fn, quantile_fn,
@@ -438,7 +444,7 @@ def _proposal_set(opt: dict, seed: int) -> RieszProposalSet:
     and proposal sections, generated with ``seed``."""
     n_riesz = opt["n_riesz"]
     return RieszProposalSet.standard_normal(
-        n_riesz, RieszParams(**opt["riesz"]),
+        n_riesz, _riesz_params(opt),
         SamplerConfig(n_points=n_riesz, seed=seed, **opt["sampler"]),
         ProposalSpec(**opt["proposal"]))
 

@@ -283,8 +283,8 @@ def pair_log_energies(points_a: np.ndarray, kappas_a: np.ndarray,
     """
     a_pts = np.atleast_2d(np.asarray(points_a, dtype=float))
     b_pts = np.atleast_2d(np.asarray(points_b, dtype=float))
-    return log_pair_terms(distances(a_pts[:, None], b_pts),
-                          np.outer(kappas_a, kappas_b), p)
+    kap = np.ravel(kappas_a)[:, None] * np.ravel(kappas_b)
+    return log_pair_terms(distances(a_pts[:, None], b_pts), kap, p)
 
 
 def log_pair_terms(r: np.ndarray, kappa_products: np.ndarray,

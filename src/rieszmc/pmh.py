@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .energy import RieszParams
-from .errors import BurnInTooLarge, SeriesTooShort
+from .errors import AllWeightsZero, BurnInTooLarge, SeriesTooShort
 from .sampler import SamplerConfig
 from .smc import (
     LgssFilterModel,
@@ -194,7 +194,8 @@ def pmh_run(family, obs, prior, cfg: PmhConfig, *, theta0,
     generator seed drawn from cfg.seed.  ``loglik_fn(theta, rng)`` overrides
     the particle-filter likelihood (used to reduce the chain to
     exact-likelihood MH in tests).  A rejected proposal never overwrites the
-    stored likelihood estimate.
+    stored likelihood estimate; a proposal whose filter raises AllWeightsZero
+    (p-hat = 0) is rejected.
     """
     obs = np.asarray(obs, dtype=float)
     ss = np.random.SeedSequence(cfg.seed)
@@ -236,7 +237,10 @@ def pmh_run(family, obs, prior, cfg: PmhConfig, *, theta0,
             lp_prop = prior.log_prior(proposal)
             if lp_prop > -np.inf:
                 rng_filter = np.random.default_rng(filt_root.spawn(1)[0])
-                ll_prop = evaluate(proposal, rng_filter)
+                try:
+                    ll_prop = evaluate(proposal, rng_filter)
+                except AllWeightsZero:
+                    ll_prop = -np.inf
                 log_ratio = acceptance_log_ratio(
                     ChainState(theta, log_lik, log_prior),
                     ChainState(proposal, ll_prop, lp_prop))

@@ -22,12 +22,16 @@ rows scored in full, instead of candidate_count rows.  Full scores come
 from the same row arithmetic as an unpruned pass, so the argmin, its score
 and every generated configuration are unchanged bit for bit.  The
 generation loop keeps its points in first-coordinate order as it inserts
-them, so scoring sorts nothing.
+them, so scoring sorts nothing, and counts them per equal cell of the box's
+first coordinate, where each window starts.  A window off centre still holds
+a subset of the candidate's pair terms: the bound stays a lower bound, and
+only its tightness depends on where the window sits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,6 +116,8 @@ def initial_point(oracle: DensityOracle) -> np.ndarray:
 # Neighbours on each side of a candidate, in first-coordinate order, whose
 # largest pair term is the candidate's lower bound.
 _K = 2
+# Cells of the first-coordinate table per point of the configuration.
+_CELLS_PER_POINT = 8
 # Candidates with the smallest bounds whose full rows set the pruning
 # threshold.
 _N_THRESHOLD = 4
@@ -123,40 +129,63 @@ _N_THRESHOLD = 4
 _PRUNE_SLACK = 1e-9
 
 
+class _Cells:
+    """The oracle's box, and ``below[c]``, the placed points under its c-th
+    equal cell of the first coordinate: at most the rank of any value in the
+    cell, read without a binary search (Chen & Asau 1974).  Values outside
+    the box fall in the end cells."""
+
+    def __init__(self, oracle: DensityOracle, n_cells: int, first=()):
+        self.low = oracle.domain_low
+        self.span = oracle.domain_high - self.low
+        self.per_unit, self.last = n_cells / self.span[0], n_cells - 1
+        cells = self.cell(np.asarray(first, dtype=float)) + 1
+        self.below = np.bincount(cells, minlength=n_cells + 1)[:-1].cumsum()
+
+    def cell(self, x):
+        c = (x - self.low[0]) * self.per_unit
+        return np.fmin(np.fmax(c, 0.0), self.last).astype(np.intp)
+
+    def insert(self, x: float) -> None:
+        self.below[self.cell(x) + 1:] += 1
+
+
 def _score_candidates(points: np.ndarray, kappas: np.ndarray,
                       order: np.ndarray, cands: np.ndarray,
-                      cand_kappas: np.ndarray,
-                      p: RieszParams) -> tuple[int, float]:
+                      cand_kappas: np.ndarray, p: RieszParams,
+                      cells: _Cells) -> tuple[int, float]:
     """Index and score of the first candidate with the smallest incremental
     log criterion, or (-1, inf) when no candidate is valid.
 
-    ``order`` sorts the points by their first coordinate.  Equal to the
-    argmin of a full scoring of every candidate: candidates whose window
-    bound exceeds a threshold taken from full rows cannot be the argmin and
-    are never scored in full.
+    ``order`` sorts the points by their first coordinate and ``cells``
+    counts them.  Equal to the argmin of a full scoring of every candidate:
+    candidates whose window bound exceeds a threshold taken from full rows
+    cannot be the argmin and are never scored in full.
     """
-    m, k = cands.shape[0], points.shape[0]
-    w = min(2 * _K, k)
-    start = points[order, 0].searchsorted(cands[:, 0]) - _K
-    nb = order[np.clip(start, 0, k - w) + np.arange(w)[:, None]]  # (w, m)
+    m = cands.shape[0]
+    # window positions past either end repeat the end points
+    start = cells.below[cells.cell(cands[:, 0])]
+    nb = order.take(start + np.arange(-_K, _K)[:, None], mode="clip")
     window_e, _ = log_pair_terms(distances(points[nb], cands),
                                  kappas[nb] * cand_kappas, p)
     bound = window_e.max(axis=0)
 
     first = (np.argpartition(bound, _N_THRESHOLD - 1)[:_N_THRESHOLD]
              if m > _N_THRESHOLD else np.arange(m))
-    scores = np.full(m, np.inf)
-    scores[first], any_ok = _full_scores(first, points, kappas, cands,
-                                         cand_kappas, p)
-    threshold = scores[first].min()
+    first_scores, any_ok = _full_scores(first, points, kappas, cands,
+                                        cand_kappas, p)
+    threshold = first_scores.min()
     rest = bound <= threshold + _PRUNE_SLACK * (1.0 + abs(threshold))
     rest[first] = False
     rest = np.flatnonzero(rest)
-    if rest.size:
-        scores[rest], rest_ok = _full_scores(rest, points, kappas, cands,
-                                             cand_kappas, p)
-        any_ok |= rest_ok
-    if not any_ok:
+    if not rest.size:  # every other bound, hence score, exceeds threshold
+        best = int(first[first_scores == threshold].min())
+        return (best, float(threshold)) if any_ok else (-1, np.inf)
+    scores = np.full(m, np.inf)
+    scores[first] = first_scores
+    scores[rest], rest_ok = _full_scores(rest, points, kappas, cands,
+                                         cand_kappas, p)
+    if not (any_ok or rest_ok):
         return -1, np.inf
     best = int(np.argmin(scores))
     return best, float(scores[best])
@@ -165,18 +194,16 @@ def _score_candidates(points: np.ndarray, kappas: np.ndarray,
 def _full_scores(rows: np.ndarray, points: np.ndarray, kappas: np.ndarray,
                  cands: np.ndarray, cand_kappas: np.ndarray,
                  p: RieszParams) -> tuple[np.ndarray, bool]:
-    """Full scores of the candidates ``rows``, and whether any is valid.
-
-    An invalid pair holds +inf, so an invalid candidate scores inf.
-    """
+    """Full scores of the candidates ``rows``, inf where a pair is invalid,
+    and whether any candidate is valid."""
     log_e, valid = pair_log_energies(cands[rows], cand_kappas[rows],
                                      points, kappas, p)
     return row_logsumexp(log_e), bool(valid.all(axis=1).any())
 
 
 def _propose_scored(points: np.ndarray, kappas: np.ndarray, order: np.ndarray,
-                    oracle: DensityOracle, p: RieszParams, cfg: SamplerConfig,
-                    rng: np.random.Generator,
+                    cells: _Cells, oracle: DensityOracle, p: RieszParams,
+                    cfg: SamplerConfig, rng: np.random.Generator,
                     candidates=None) -> tuple[np.ndarray, float]:
     if points.shape[0] < 1:
         raise ValueError("configuration must be non-empty")
@@ -184,15 +211,14 @@ def _propose_scored(points: np.ndarray, kappas: np.ndarray, order: np.ndarray,
     retries = 1 if fixed_pool else cfg.max_retries
     for _ in range(retries):
         if fixed_pool:
-            cands = np.atleast_2d(np.asarray(candidates, dtype=float))
-            if cands.shape[1] != oracle.dim:
-                cands = cands.reshape(-1, oracle.dim)
+            cands = np.asarray(candidates, float).reshape(-1, oracle.dim)
         else:
-            cands = rng.uniform(oracle.domain_low, oracle.domain_high,
-                                size=(cfg.candidate_count, oracle.dim))
-        cand_kappas = np.atleast_1d(oracle.kappa(cands))
+            # the arithmetic of rng.uniform(low, high, size), bit for bit
+            cands = cells.low + cells.span * rng.random(
+                (cfg.candidate_count, oracle.dim))
         best_idx, best_score = _score_candidates(points, kappas, order,
-                                                 cands, cand_kappas, p)
+                                                 cands, oracle.kappa(cands),
+                                                 p, cells)
         if best_idx >= 0:
             return cands[best_idx].copy(), best_score
     raise NoValidCandidate(
@@ -209,9 +235,10 @@ def propose_next_point(c: PointConfiguration, oracle: DensityOracle,
     pool is supplied, in which case the argmin over that pool is returned
     (ties break toward the first index).
     """
+    cells = _Cells(oracle, _CELLS_PER_POINT * c.n, c.points[:, 0])
     point, _ = _propose_scored(c.points, c.kappa_values,
-                               np.argsort(c.points[:, 0]), oracle, p, cfg,
-                               rng, candidates)
+                               np.argsort(c.points[:, 0]), cells, oracle, p,
+                               cfg, rng, candidates)
     return point
 
 
@@ -225,12 +252,12 @@ def accept_candidate(x_new, x_last, r_min_current: float,
     x_last sits at the origin the denominator is replaced by
     ``domain_diameter``.
     """
-    x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
-    x_last = np.atleast_1d(np.asarray(x_last, dtype=float))
-    dist = float(np.linalg.norm(x_new - x_last))
+    x_last = np.asarray(x_last, dtype=float).ravel()
+    diff = np.subtract(x_new, x_last, dtype=float)
+    dist = math.sqrt(diff.dot(diff))  # np.linalg.norm's arithmetic
     if dist < r_min_current:
         return False
-    denom = float(np.linalg.norm(x_last))
+    denom = math.sqrt(x_last.dot(x_last))
     if denom == 0.0:
         if domain_diameter is None:
             raise OriginReference("x_last at origin and no domain diameter given")
@@ -267,6 +294,7 @@ def generate_configuration(oracle: DensityOracle, p: RieszParams,
     kappas[0] = oracle.kappa(x0)
     # indices of the placed points in first-coordinate order
     order = np.zeros(n, dtype=np.intp)
+    cells = _Cells(oracle, _CELLS_PER_POINT * n, points[:1, 0])
     diameter = oracle.diameter
     rejected = 0
     trace = np.empty(n - 1)
@@ -281,20 +309,22 @@ def generate_configuration(oracle: DensityOracle, p: RieszParams,
             attempts += 1
             try:
                 cand, cand_score = _propose_scored(points[:k], kappas[:k],
-                                                   order[:k], oracle, p, cfg,
-                                                   rng)
+                                                   order[:k], cells, oracle, p,
+                                                   cfg, rng)
             except NoValidCandidate:
                 rejected += cfg.candidate_count
                 continue
             threshold = 0.0 if k < 2 else 0.5 * r_min
             if accept_candidate(cand, points[k - 1], threshold, rng, diameter):
-                dists = np.linalg.norm(points[:k] - cand, axis=1)
-                r_min = min(r_min, float(dists.min()))
+                # np.linalg.norm's rows; the least root is the least's root
+                diff = points[:k] - cand
+                r_min = min(r_min, math.sqrt((diff * diff).sum(axis=1).min()))
                 total_log_energy = np.logaddexp(total_log_energy, cand_score)
                 trace[k - 1] = total_log_energy / p.s
                 at = points[order[:k], 0].searchsorted(cand[0])
                 order[at + 1:k + 1] = order[at:k]
                 order[at] = k
+                cells.insert(cand[0])
                 points[k] = cand
                 kappas[k] = oracle.kappa(cand)
                 k += 1
@@ -324,15 +354,14 @@ def quantile_mapped_configuration(target_oracle: DensityOracle, cdf_fn,
     with the greedy energy loop, then mapped through ``quantile_fn`` so the
     mapped points follow the target's quantiles.  kappa values of the mapped
     configuration come from ``target_oracle``; the energy trace is the one
-    recorded in probability space.
+    recorded in probability space.  p.d must be 1.
     """
     if target_oracle.dim != 1:
         raise DimensionUnsupported("quantile mapping is defined for d == 1")
     u_lo = float(cdf_fn(target_oracle.domain_low[0]))
     u_hi = float(cdf_fn(target_oracle.domain_high[0]))
     u_oracle = DensityOracle.uniform_box([u_lo], [u_hi])
-    u_params = replace(p, d=1)
-    report = generate_configuration(u_oracle, u_params, cfg)
+    report = generate_configuration(u_oracle, p, cfg)
     mapped = np.asarray(quantile_fn(report.configuration.points[:, 0]),
                         dtype=float).reshape(-1, 1)
     config = PointConfiguration(mapped, target_oracle.kappa(mapped), 1)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, wrightomega
 
 from .energy import DensityOracle, PointConfiguration, RieszParams
-from .errors import AllWeightsZero, LengthMismatch
+from .errors import AllWeightsZero, LengthMismatch, NumericalError
 from .sampler import SamplerConfig, quantile_mapped_configuration
 from .ssm import (
     LgssParams,
@@ -46,14 +46,14 @@ LOG_ZERO_SENTINEL = -1e9
 _BAND_LEVELS = np.array([0.025, 0.975])
 
 # From this many keys on, _search_unsorted searches them in sorted order.
-# Measured on x86-64 (numpy 2.4) in the weight CDF, with as many entries as
-# keys: below about 900 keys the argsort costs more than it saves.
-_SORTED_SEARCH_MIN = 900
+# Timed on x86-64 (numpy 2.4) in the weight CDF, with fresh keys on every
+# call: from about 64 keys on the argsort costs less than it saves.
+_SORTED_SEARCH_MIN = 64
 
 # From this many residuals on, RieszProposalSet ranks them through its cell
-# table.  Measured on x86-64 (numpy 2.4) with 50, 100 and 180 points: below
-# about 1,000 residuals one np.searchsorted call is as cheap or cheaper.
-_CELL_RANK_MIN = 1000
+# table.  Timed the same way with 50, 100 and 180 points: from about 100-128
+# residuals on it is cheaper than one np.searchsorted call.
+_CELL_RANK_MIN = 128
 
 
 def _search_unsorted(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -364,11 +364,11 @@ class RieszProposalSet:
                         sampler_cfg: SamplerConfig,
                         spec: ProposalSpec = ProposalSpec()
                         ) -> "RieszProposalSet":
-        """Frozen standardized configuration targeting N(0, 1)."""
+        """Frozen standardized configuration targeting N(0, 1); d = 1."""
         target = DensityOracle.gaussian(0.0, 1.0, spec.half_width)
         cfg = replace(sampler_cfg, n_points=n_points)
         report = quantile_mapped_configuration(target, ndtr, ndtri,
-                                               replace(riesz_params, d=1), cfg)
+                                               riesz_params, cfg)
         return cls(report.configuration, spec)
 
 
@@ -404,7 +404,8 @@ def run_filter(model, obs, n: int, N_prime: int, riesz_params: RieszParams,
     exact proposal density, and the log-likelihood estimate sums the logs of
     the weight means.  The filtered means are the weighted particle means,
     and with ``record_percentiles`` the band is the weighted 2.5% and 97.5%
-    quantiles.
+    quantiles.  A step whose log-weights are all -inf raises AllWeightsZero
+    (p-hat = 0); a NaN or +inf log-weight raises NumericalError.
     """
     y = np.asarray(obs, dtype=float)
     if y.size == 0:
@@ -442,11 +443,11 @@ def run_filter(model, obs, n: int, N_prime: int, riesz_params: RieszParams,
                  + model.transition_logpdf(x, x_prev)
                  - proposal_set.logpdf(x, frame_means, frame_stds))
         lse = _logsumexp_1d(log_w)
+        if lse == -np.inf:
+            raise AllWeightsZero(f"all particle weights vanished at t={t + 1}"
+                                 ": proposal/model mismatch")
         if not np.isfinite(lse):
-            raise AllWeightsZero(
-                f"all particle weights vanished at t={t + 1}: "
-                "proposal/model mismatch"
-            )
+            raise NumericalError(f"a log-weight is {lse} at t={t + 1}")
         loglik += lse - log_n
         w_norm = np.exp(log_w - lse)
         means_out[t] = w_norm @ x

@@ -375,6 +375,31 @@ class TestMain:
         assert err["error"] == "ConfigError"
         assert err["exit_code"] == 2
 
+    @pytest.mark.parametrize("experiment, options", [
+        ("generate-points", {"n_points": 20}),
+        ("generate-points", {"n_points": 20, "quantile_mapped": False}),
+        ("diagnostics", {"n_values": [20]}),
+        ("filter-lgss", {"n_values": [10], "n_seeds": 1, "T": 5,
+                         "n_riesz": 10}),
+        ("pmh-lgss", {"iterations": 5, "T": 5, "n_riesz": 10}),
+        ("pmh-sv", {"iterations": 5, "n_riesz": 10}),
+    ])
+    def test_two_dimensional_riesz_params_exit_2(self, tmp_path, capsys,
+                                                 experiment, options):
+        # every configuration a subcommand builds is one-dimensional, so
+        # riesz.d = 2 used to be replaced by 1 or to fail as a numerical
+        # error
+        path = _write(tmp_path, "c.json",
+                      json.dumps({**options, "riesz": {"d": 2}}))
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--config", str(path),
+                  "--output", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "riesz.d" in err["message"]
+        assert not (tmp_path / "out" / "results.csv").exists()
+
     @pytest.mark.parametrize("experiment, options, key", [
         ("pmh-lgss", {"prior": {"std": 0}}, "prior.std"),
         ("pmh-lgss", {"prior": {"std": -0.5}}, "prior.std"),

@@ -23,9 +23,31 @@ from rieszmc import (
     pmh_run,
     posterior_summary,
     propose_theta,
+    run_filter,
 )
-from rieszmc.errors import BurnInTooLarge, SeriesTooShort
+from rieszmc.errors import (
+    AllWeightsZero,
+    BurnInTooLarge,
+    NumericalError,
+    SeriesTooShort,
+)
 from rieszmc.pmh import ChainOutput
+
+
+class _BrokenAboveFamily(LgssPhiFamily):
+    """LGSS family whose observation log-density is ``fill`` (-inf: every
+    weight dies, NaN: a broken model) for phi above ``edge``."""
+
+    def __init__(self, fill, edge=0.8):
+        super().__init__(1.0, 0.1, 0.0)
+        self.fill, self.edge = fill, edge
+
+    def make_model(self, theta):
+        model = super().make_model(theta)
+        if float(np.atleast_1d(theta)[0]) > self.edge:
+            model.observation_logpdf = (
+                lambda y, x: np.full(np.shape(x), self.fill))
+        return model
 
 
 class _FlatPrior:
@@ -149,6 +171,60 @@ class TestPmhRun:
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.accepted, b.accepted)
         assert np.array_equal(a.log_liks, b.log_liks)
+
+    def test_dead_proposal_is_rejected_in_step(self):
+        # p-hat = 0 (every weight -inf) at a proposal rejects it; the
+        # acceptance uniform is still drawn, so the chain equals one whose
+        # likelihood reads -inf there
+        traj = lgss_simulate(self.PAPER, 15, 0.0, np.random.default_rng(14))
+        family = _BrokenAboveFamily(-np.inf)
+        prior = LgssPhiFamily.default_prior()
+        pset = RieszProposalSet.standard_normal(
+            10, RieszParams(), SamplerConfig(n_points=10, seed=3))
+        cfg = PmhConfig(iterations=80, burn_in=10, step_sizes=[0.15],
+                        n_particles=20, n_riesz=10, seed=15)
+        chain = pmh_run(family, traj.observations, prior, cfg,
+                        theta0=[0.75], proposal_set=pset)
+
+        dead = []
+
+        def dead_ll(theta, rng):
+            if theta[0] > family.edge:
+                dead.append(theta[0])
+                return -np.inf
+            return run_filter(family.make_model(theta), traj.observations,
+                              20, 10, None, None, rng,
+                              proposal_set=pset).log_likelihood
+
+        want = pmh_run(family, traj.observations, prior, cfg, theta0=[0.75],
+                       loglik_fn=dead_ll)
+        assert np.array_equal(chain.samples, want.samples)
+        assert np.array_equal(chain.accepted, want.accepted)
+        assert np.array_equal(chain.log_liks, want.log_liks)
+        assert np.all(chain.samples <= family.edge)
+        assert np.all(np.isfinite(chain.log_liks))
+        assert 0.0 < chain.acceptance_rate < 1.0
+        assert len(dead) >= 3
+        with pytest.raises(AllWeightsZero):
+            run_filter(family.make_model(dead[:1]), traj.observations, 20,
+                       10, None, None, np.random.default_rng(0),
+                       proposal_set=pset)
+
+    def test_dead_start_raises(self):
+        cfg = PmhConfig(iterations=5, burn_in=1, step_sizes=[0.1],
+                        n_particles=10, n_riesz=10)
+        with pytest.raises(AllWeightsZero):
+            pmh_run(_BrokenAboveFamily(-np.inf), np.zeros(3),
+                    LgssPhiFamily.default_prior(), cfg, theta0=[0.9])
+
+    def test_nan_weight_raises(self):
+        traj = lgss_simulate(self.PAPER, 10, 0.0, np.random.default_rng(16))
+        cfg = PmhConfig(iterations=200, burn_in=10, step_sizes=[0.3],
+                        n_particles=10, n_riesz=10, seed=17)
+        with pytest.raises(NumericalError, match="nan") as exc:
+            pmh_run(_BrokenAboveFamily(np.nan), traj.observations,
+                    LgssPhiFamily.default_prior(), cfg, theta0=[0.75])
+        assert not isinstance(exc.value, AllWeightsZero)
 
     def test_matches_exact_likelihood_chain(self):
         # substituting the exact Kalman likelihood must give the same

@@ -30,7 +30,12 @@ from rieszmc.errors import (
     NoValidCandidate,
     OriginReference,
 )
-from rieszmc.sampler import _GRID_RESOLUTION, _score_candidates
+from rieszmc.sampler import (
+    _CELLS_PER_POINT,
+    _GRID_RESOLUTION,
+    _Cells,
+    _score_candidates,
+)
 
 P40 = RieszParams(s=40.0, d=1, alpha=1.0, beta=2.0)
 UNIFORM01 = DensityOracle.uniform_box([0.0], [1.0])
@@ -176,25 +181,93 @@ def _pools():
            np.concatenate([kap, kap]), P40)
 
 
+def _cell_pools():
+    """Pools that place windows far from each candidate's rank, with the
+    box, as (points, kappas, candidates, candidate kappas, params, box)."""
+    rng = np.random.default_rng(37)
+    unit = DensityOracle.uniform_box([0.0], [1.0])
+    # a clump of points inside one cell, candidates in and around it
+    clump = np.concatenate((0.5 + 1e-5 * rng.random(20), rng.random(10)))
+    cands = np.concatenate((0.5 + 2e-5 * rng.random(24), rng.random(40)))
+    yield (clump[:, None], rng.uniform(1e-3, 3.0, 30), cands[:, None],
+           rng.uniform(1e-3, 3.0, 64), P40, unit)
+    # candidates on cell boundaries, at and outside the box's edges, with a
+    # point at the upper edge (where the uniform box's initial point sits)
+    pts = np.concatenate(([1.0], rng.random(11)))
+    edges = np.arange(_CELLS_PER_POINT * 12 + 1) / (_CELLS_PER_POINT * 12)
+    cands = np.concatenate((edges, [-3.0, -1e-12, 1.0 + 1e-12, 7.5]))
+    for params in (P40, RieszParams(s=40.0, d=1, alpha=-1.0)):
+        yield (pts[:, None], rng.uniform(1e-3, 3.0, 12), cands[:, None],
+               rng.uniform(1e-3, 3.0, cands.shape[0]), params, unit)
+    # a shifted box, with points and candidates on both sides of it
+    box = DensityOracle.uniform_box([-5.0], [5.0])
+    pts = rng.uniform(-7.0, 7.0, size=(40, 1))
+    cands = rng.uniform(-8.0, 8.0, size=(64, 1))
+    yield (pts, rng.uniform(1e-3, 3.0, 40), cands,
+           rng.uniform(1e-3, 3.0, 64), P40, box)
+    # d = 2: each first-coordinate cell holds many points
+    square = DensityOracle.uniform_box([0.0, 0.0], [1.0, 1.0])
+    for params in (RieszParams(s=10.0, d=2),
+                   RieszParams(s=10.0, d=2, alpha=-1.0)):
+        pts = np.column_stack((rng.integers(0, 4, 200) / 4 + 0.01,
+                               rng.random(200)))
+        cands = rng.uniform(0.0, 1.0, size=(64, 2))
+        yield (pts, rng.uniform(1e-3, 3.0, 200), cands,
+               rng.uniform(1e-3, 3.0, 64), params, square)
+
+
+def _cell_table_scores(pts, kap, cands, cand_kap, params, box, n_cells):
+    cells = _Cells(box, n_cells, pts[:, 0])
+    return _score_candidates(pts, kap, np.argsort(pts[:, 0]), cands,
+                             cand_kap, params, cells)
+
+
+def _unit_box(d):
+    return DensityOracle.uniform_box([0.0] * d, [1.0] * d)
+
+
 class TestScoreCandidates:
     def test_pruned_argmin_matches_full_scoring(self):
+        # one cell puts every window at the lowest points, two cells per
+        # point leave several points in a cell, and the table of a
+        # generation run nearly centres each window
         n_cases = 0
         for pts, kap, cands, cand_kap, params in _pools():
-            got = _score_candidates(pts, kap, np.argsort(pts[:, 0]), cands,
-                                    cand_kap, params)
             want = _full_scoring_argmin(pts, kap, cands, cand_kap, params)
-            assert got == want
+            for n_cells in (1, 2 * pts.shape[0],
+                            _CELLS_PER_POINT * pts.shape[0]):
+                got = _cell_table_scores(pts, kap, cands, cand_kap, params,
+                                         _unit_box(pts.shape[1]), n_cells)
+                assert got == want
             n_cases += 1
         assert n_cases == 116
 
+    def test_cell_table_start_matches_full_scoring(self):
+        n_cases = 0
+        for pts, kap, cands, cand_kap, params, box in _cell_pools():
+            want = _full_scoring_argmin(pts, kap, cands, cand_kap, params)
+            assert want[0] >= 0
+            for n_cells in (1, 4, _CELLS_PER_POINT * pts.shape[0]):
+                assert _cell_table_scores(pts, kap, cands, cand_kap, params,
+                                          box, n_cells) == want
+            n_cases += 1
+        assert n_cases == 6
+
+    def test_cells_clip_to_the_table(self):
+        cells = _Cells(DensityOracle.uniform_box([-5.0], [5.0]), 10)
+        x = np.array([-np.inf, -6.0, -5.0, -4.0, 0.0, 4.999, 5.0, 9.0,
+                      np.inf, np.nan])
+        assert cells.cell(x).tolist() == [0, 0, 0, 1, 5, 9, 9, 9, 9, 0]
+        assert cells.cell(5.0) == 9
+
     def test_ties_go_to_the_first_index(self):
         pts, kap = np.array([[0.5]]), np.ones(1)
-        assert _score_candidates(pts, kap, np.arange(1),
-                                 np.array([[0.75], [0.25]]),
-                                 np.ones(2), P40)[0] == 0
+        assert _cell_table_scores(pts, kap, np.array([[0.75], [0.25]]),
+                                  np.ones(2), P40, UNIFORM01, 8)[0] == 0
         cands = np.array([[0.1], [0.3], [0.1], [0.3]])
-        idx, _ = _score_candidates(np.array([[0.9], [0.95]]), np.ones(2),
-                                   np.arange(2), cands, np.ones(4), P40)
+        pts = np.array([[0.9], [0.95]])
+        idx, _ = _cell_table_scores(pts, np.ones(2), cands, np.ones(4), P40,
+                                    UNIFORM01, 16)
         assert idx == 0
 
 
@@ -301,6 +374,59 @@ class TestGenerateConfiguration:
                                SamplerConfig(n_points=40, seed=3))
         assert max(sizes) == 39
 
+    @pytest.mark.parametrize("case", ["uniform", "normal", "square"])
+    def test_cell_table_counts_the_placed_points(self, monkeypatch, case):
+        # below[c] must count the placed points in the cells under c after
+        # every insertion; a stale table keeps results exact but makes the
+        # windows miss each candidate's neighbours
+        seen = []
+
+        def checked(points, kappas, order, cands, cand_kappas, p, cells):
+            counts = np.bincount(cells.cell(points[:, 0]),
+                                 minlength=cells.last + 1)
+            assert np.array_equal(cells.below,
+                                  np.concatenate(([0], counts.cumsum()[:-1])))
+            seen.append(points.shape[0])
+            return _score_candidates(points, kappas, order, cands,
+                                     cand_kappas, p, cells)
+
+        monkeypatch.setattr("rieszmc.sampler._score_candidates", checked)
+        if case == "square":
+            generate_configuration(
+                DensityOracle.uniform_box([0.0, 0.0], [1.0, 1.0]),
+                RieszParams(s=10.0, d=2), SamplerConfig(n_points=30, seed=4),
+                initial=[1.0, 0.5])
+        else:
+            oracle = (UNIFORM01 if case == "uniform"
+                      else DensityOracle.gaussian(0.0, 1.0, 5.0))
+            generate_configuration(oracle, P40,
+                                   SamplerConfig(n_points=40, seed=3))
+        assert max(seen) == (29 if case == "square" else 39)
+
+    @pytest.mark.parametrize("low,high", [([0.0], [1.0]), ([-5.0], [5.0]),
+                                          ([2.867e-7], [0.9999997133]),
+                                          ([0.0, 0.0], [1.0, 1.0]),
+                                          ([-3.0, 0.1], [2.5, 7.0])])
+    def test_candidate_draw_is_generator_uniform(self, monkeypatch, low,
+                                                 high):
+        # the candidates must be rng.uniform(low, high, size) bit for bit,
+        # or every seeded digest moves
+        box = DensityOracle.uniform_box(low, high)
+        drawn = []
+
+        def record(points, kappas, order, cands, *rest):
+            drawn.append(cands)
+            return 0, 0.0
+
+        monkeypatch.setattr("rieszmc.sampler._score_candidates", record)
+        c = PointConfiguration.from_points([high], box)
+        cfg = SamplerConfig(n_points=2, candidate_count=64)
+        for seed in range(200):
+            propose_next_point(c, box, P40, cfg, np.random.default_rng(seed))
+            want = np.random.default_rng(seed).uniform(low, high,
+                                                       size=(64, len(low)))
+            assert np.array_equal(drawn[-1], want)
+
     def test_report_invariants(self):
         cfg = SamplerConfig(n_points=30, seed=7)
         report = generate_configuration(UNIFORM01, P40, cfg)
@@ -367,6 +493,13 @@ class TestQuantileMappedConfiguration:
                 vals.append(uniformity_statistic(rep.configuration, ndtr))
             stats[n] = np.mean(vals)
         assert stats[200] < stats[20]
+
+    def test_two_dimensional_params_are_rejected(self):
+        # generation runs on the line; d = 2 used to be replaced by 1
+        with pytest.raises(DimensionUnsupported):
+            quantile_mapped_configuration(
+                DensityOracle.gaussian(0.0, 1.0, 5.0), ndtr, ndtri,
+                RieszParams(s=40.0, d=2), SamplerConfig(n_points=20))
 
     def test_mapped_points_inside_target_box(self):
         target = DensityOracle.gaussian(0.0, 1.0, 5.0)

@@ -27,7 +27,12 @@ from rieszmc import (
     run_filter,
     sv_simulate,
 )
-from rieszmc.errors import AllWeightsZero, LengthMismatch
+from rieszmc.errors import (
+    AllWeightsZero,
+    DimensionUnsupported,
+    LengthMismatch,
+    NumericalError,
+)
 from rieszmc.smc import (
     _CELL_RANK_MIN,
     _SORTED_SEARCH_MIN,
@@ -84,11 +89,13 @@ class TestSystematicResample:
         assert np.all(np.abs(counts - 1000 * w) <= 1.0)
 
 
-# key counts on both sides of the sorted-search and cell-rank cutoffs, and
-# wide-filter sizes above both
+# key counts on both sides of the sorted-search and cell-rank cutoffs, on
+# both sides of the cutoffs they had when timed on repeated keys (900 and
+# 1,000), and wide-filter sizes above all of them
+_FORMER_CUTOFFS = (899, 900, 999, 1000)
 _KEY_COUNTS = sorted({1, 7, _CELL_RANK_MIN - 1, _CELL_RANK_MIN,
                       _SORTED_SEARCH_MIN - 1, _SORTED_SEARCH_MIN,
-                      2047, 2048, 4099})
+                      *_FORMER_CUTOFFS, 2047, 2048, 4099})
 _FINITE = st.floats(-1e6, 1e6, allow_nan=False)
 
 
@@ -169,6 +176,12 @@ class TestSearchUnsorted:
 
 
 class TestRieszProposalSet:
+    def test_two_dimensional_params_are_rejected(self):
+        # the set is one-dimensional; d = 2 used to be replaced by 1
+        with pytest.raises(DimensionUnsupported):
+            RieszProposalSet.standard_normal(
+                20, RieszParams(s=40.0, d=2), SamplerConfig(n_points=20))
+
     @pytest.mark.parametrize("tail_mix", [0.0, 0.05, 0.5, 1.0])
     def test_logpdf_integrates_to_one(self, pset50, tail_mix):
         pset = RieszProposalSet(pset50.configuration,
@@ -220,8 +233,9 @@ class TestRieszProposalSet:
                 - 0.5 * math.log(2 * math.pi) - np.log(stds))
         assert np.allclose(pset.logpdf(x, means, stds), want, rtol=1e-12)
 
-    # residuals on both sides of the cell-rank cutoff
-    @pytest.mark.parametrize("n", [_CELL_RANK_MIN - 1, _CELL_RANK_MIN])
+    # residuals on both sides of the cell-rank cutoff, now and as first sized
+    @pytest.mark.parametrize("n", [_CELL_RANK_MIN - 1, _CELL_RANK_MIN,
+                                   *_FORMER_CUTOFFS[2:]])
     @pytest.mark.parametrize("tail_mix", [0.0, 0.05])
     def test_nan_residual_gives_nan_density(self, pset50, tail_mix, n):
         pset = RieszProposalSet(pset50.configuration,
@@ -335,6 +349,13 @@ class _DeadModel(_SingleParticleModel):
         return np.full(np.shape(x), -np.inf)
 
 
+class _NanModel(_SingleParticleModel):
+    def observation_logpdf(self, y, x):
+        out = np.zeros(np.shape(x))
+        out[0] = np.nan
+        return out
+
+
 class _SpreadLgssModel(LgssFilterModel):
     def initial_states(self, n, rng):
         return np.linspace(-0.2, 0.2, n)
@@ -381,6 +402,14 @@ class TestPropagateAndWeight:
         with pytest.raises(AllWeightsZero):
             run_filter(_DeadModel(), [0.0], 8, 50, RP, SCFG,
                        np.random.default_rng(2), proposal_set=pset50)
+
+    def test_nan_weight_is_a_numerical_error(self, pset50):
+        # one NaN log-weight among finite ones is a broken model, not p-hat
+        # = 0: it must not read as AllWeightsZero
+        with pytest.raises(NumericalError, match="nan at t=1") as exc:
+            run_filter(_NanModel(), [0.0], 8, 50, RP, SCFG,
+                       np.random.default_rng(2), proposal_set=pset50)
+        assert not isinstance(exc.value, AllWeightsZero)
 
     def test_riesz_weights_match_ratio_definition(self, pset50):
         model = _SpreadLgssModel(PAPER, x0=0.0)
