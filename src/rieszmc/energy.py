@@ -19,15 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateDensity,
-    DegenerateDistance,
-    DimensionMismatch,
-    DimensionUnsupported,
-    EmptyReference,
-    NonPositiveBracket,
-    TooFewPoints,
-)
+from .errors import DegenerateDensity, DegenerateDistance, NonPositiveBracket
 
 KAPPA_FLOOR = 1e-3
 
@@ -96,7 +88,7 @@ class PointConfiguration:
             if self.dim == 1 and pts.shape[0] == 1:
                 pts = pts.reshape(-1, 1)
             else:
-                raise DimensionMismatch(
+                raise ValueError(
                     f"points have dimension {pts.shape[1]}, expected {self.dim}"
                 )
         kap = np.asarray(self.kappa_values, dtype=float).reshape(-1)
@@ -142,7 +134,7 @@ class DensityOracle:
         lo = np.atleast_1d(np.asarray(self.domain_low, dtype=float))
         hi = np.atleast_1d(np.asarray(self.domain_high, dtype=float))
         if lo.shape != hi.shape:
-            raise DimensionMismatch("domain_low and domain_high differ in shape")
+            raise ValueError("domain_low and domain_high differ in shape")
         if not np.all(hi > lo):
             raise ValueError("domain_high must exceed domain_low on every axis")
         self.domain_low = lo
@@ -187,7 +179,7 @@ class DensityOracle:
         log_const = -float(np.sum(np.log(hi - lo)))
 
         def logf(x, _c=log_const):
-            return np.full(np.atleast_2d(x).shape[0], _c)
+            return np.full(x.shape[0], _c)
 
         return cls(logf, lo, hi)
 
@@ -199,7 +191,7 @@ class DensityOracle:
         const = -0.5 * np.log(2.0 * np.pi) - np.log(std)
 
         def logf(x, _m=mean, _s=std, _c=const):
-            z = (np.atleast_2d(x)[:, 0] - _m) / _s
+            z = (x[:, 0] - _m) / _s
             return _c - 0.5 * z * z
 
         return cls(logf, [mean - half_width * std], [mean + half_width * std])
@@ -314,7 +306,7 @@ def config_energy(c: PointConfiguration, p: RieszParams) -> float:
     sum of the criterion.
     """
     if c.n < 2:
-        raise TooFewPoints("config_energy requires at least two points")
+        raise ValueError("config_energy requires at least two points")
     r, iu, ju = _pdist(c.points)
     if np.any(r < p.eps_dist):
         raise DegenerateDistance("configuration violates the eps_dist guard")
@@ -337,7 +329,7 @@ def min_separation(c: PointConfiguration) -> float:
     instead of squaring.
     """
     if c.n < 2:
-        raise TooFewPoints("min_separation requires at least two points")
+        raise ValueError("min_separation requires at least two points")
     r, iu, ju = _pdist(c.points)
     close = np.flatnonzero(r < _SQUARE_UNDERFLOW)
     if close.size:
@@ -354,9 +346,9 @@ def covering_radius(c: PointConfiguration, reference) -> float:
     """
     ref = np.atleast_2d(np.asarray(reference, dtype=float))
     if ref.size == 0:
-        raise EmptyReference("reference set is empty")
+        raise ValueError("reference set is empty")
     if ref.shape[1] != c.dim:
-        raise DimensionMismatch(
+        raise ValueError(
             f"reference dimension {ref.shape[1]} != configuration dimension {c.dim}"
         )
     return float(distances(ref[:, None], c.points).min(axis=1).max())
@@ -370,7 +362,7 @@ def uniformity_statistic(c: PointConfiguration, target_cdf) -> float:
     transformed sample from the uniform law on [0, 1].  Dimension one only.
     """
     if c.dim != 1:
-        raise DimensionUnsupported("uniformity_statistic is defined for d == 1")
+        raise ValueError("uniformity_statistic is defined for d == 1")
     x = np.sort(c.points[:, 0])
     try:
         u = np.asarray(target_cdf(x), dtype=float)

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all rieszmc modules.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, NumericalError -> 4.
+DataError -> 3, NumericalError -> 4, and prints the class name in its JSON
+error line.  A failure has a class of its own only where a caller tells it
+apart, by catching it or by that name; invalid arguments raise ValueError.
 """
 
 from __future__ import annotations
@@ -33,58 +35,20 @@ class DegenerateDistance(NumericalError):
     """Pair distance below the eps_dist guard."""
 
 
-class TooFewPoints(NumericalError):
-    """Operation requires at least two points."""
-
-
-class EmptyReference(NumericalError):
-    """Covering radius needs a non-empty reference set."""
-
-
-class DimensionMismatch(NumericalError):
-    """Point sets with incompatible dimensions."""
-
-
-class DimensionUnsupported(NumericalError):
-    """Operation only defined for dimension one."""
-
-
-# -- sampler ----------------------------------------------------------------
-
 class DegenerateDensity(NumericalError):
     """Target density is identically zero on the evaluation grid."""
 
 
-class NoValidCandidate(NumericalError):
-    """Every candidate violates the eps_dist guard after all redraws."""
-
+# -- sampler ----------------------------------------------------------------
 
 class BudgetExhausted(NumericalError):
-    """Candidate budget spent before the configuration was complete."""
-
-
-class OriginReference(NumericalError):
-    """Acceptance ratio denominator is zero and no fallback was supplied."""
+    """Candidate pools spent before the configuration was complete."""
 
 
 # -- smc --------------------------------------------------------------------
 
 class AllWeightsZero(NumericalError):
     """Every particle weight underflowed to zero."""
-
-
-class LengthMismatch(NumericalError):
-    """Series of unequal length."""
-
-
-# -- pmh --------------------------------------------------------------------
-
-class SeriesTooShort(NumericalError):
-    """Series shorter than the requested maximum lag."""
-
-
-class BurnInTooLarge(NumericalError):
-    """Burn-in does not leave any post burn-in samples."""
 
 
 # -- cli --------------------------------------------------------------------

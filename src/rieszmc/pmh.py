@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .energy import RieszParams
-from .errors import AllWeightsZero, BurnInTooLarge, SeriesTooShort
+from .errors import AllWeightsZero
 from .sampler import SamplerConfig
 from .smc import (
     LgssFilterModel,
@@ -258,7 +258,7 @@ def acf(series, max_lag: int) -> np.ndarray:
     """Sample autocorrelation at lags 0..max_lag (demeaned, lag-0 normalized)."""
     x = np.asarray(series, dtype=float)
     if x.shape[0] <= max_lag:
-        raise SeriesTooShort(
+        raise ValueError(
             f"series length {x.shape[0]} must exceed max_lag {max_lag}"
         )
     d = x - x.mean()
@@ -277,7 +277,7 @@ def posterior_summary(chain: ChainOutput, burn_in: int) -> tuple[np.ndarray, np.
     """Post burn-in sample mean and population variance (1/N divisor)."""
     samples = np.atleast_2d(chain.samples)
     if burn_in >= samples.shape[0]:
-        raise BurnInTooLarge(
+        raise ValueError(
             f"burn_in {burn_in} leaves no samples out of {samples.shape[0]}"
         )
     kept = samples[burn_in:]

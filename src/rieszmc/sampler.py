@@ -45,21 +45,16 @@ from .energy import (
     pair_log_energies,
     row_logsumexp,
 )
-from .errors import (
-    BudgetExhausted,
-    DegenerateDensity,
-    DimensionUnsupported,
-    NoValidCandidate,
-    OriginReference,
-)
+from .errors import BudgetExhausted, DegenerateDensity, NumericalError
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
     """Knobs of the greedy generator.
 
-    candidate_count is the size of the uniform candidate pool per step,
-    max_retries the cap on redraws, and seed fixes the random stream.
+    candidate_count is the size of the uniform candidate pool of each
+    attempt, max_retries * n_points the budget of attempts (pools) of a
+    generation run, and seed fixes the random stream.
     """
 
     n_points: int
@@ -99,7 +94,7 @@ def initial_point(oracle: DensityOracle) -> np.ndarray:
     starts at the lower box edge).
     """
     if oracle.dim != 1:
-        raise DimensionUnsupported("initial_point is defined for d == 1")
+        raise ValueError("initial_point is defined for d == 1")
     grid = np.linspace(oracle.domain_low[0], oracle.domain_high[0],
                        _GRID_RESOLUTION)
     logf = np.asarray(oracle.log_density(grid[:, None]), dtype=float)
@@ -130,20 +125,18 @@ _PRUNE_SLACK = 1e-9
 
 
 class _Cells:
-    """The oracle's box, and ``below[c]``, the placed points under its c-th
-    equal cell of the first coordinate: at most the rank of any value in the
-    cell, read without a binary search (Chen & Asau 1974).  Values outside
-    the box fall in the end cells."""
+    """``below[c]``, the values under the c-th of n_cells equal cells of
+    [low, low + span]: at most the rank of any value in the cell, read
+    without a binary search (Chen & Asau 1974).  Values outside the range,
+    and NaN, fall in the end cells."""
 
-    def __init__(self, oracle: DensityOracle, n_cells: int, first=()):
-        self.low = oracle.domain_low
-        self.span = oracle.domain_high - self.low
-        self.per_unit, self.last = n_cells / self.span[0], n_cells - 1
-        cells = self.cell(np.asarray(first, dtype=float)) + 1
+    def __init__(self, low: float, span: float, n_cells: int, values):
+        self.low, self.per_unit, self.last = low, n_cells / span, n_cells - 1
+        cells = self.cell(np.asarray(values, dtype=float)) + 1
         self.below = np.bincount(cells, minlength=n_cells + 1)[:-1].cumsum()
 
     def cell(self, x):
-        c = (x - self.low[0]) * self.per_unit
+        c = (x - self.low) * self.per_unit
         return np.fmin(np.fmax(c, 0.0), self.last).astype(np.intp)
 
     def insert(self, x: float) -> None:
@@ -201,45 +194,31 @@ def _full_scores(rows: np.ndarray, points: np.ndarray, kappas: np.ndarray,
     return row_logsumexp(log_e), bool(valid.all(axis=1).any())
 
 
-def _propose_scored(points: np.ndarray, kappas: np.ndarray, order: np.ndarray,
-                    cells: _Cells, oracle: DensityOracle, p: RieszParams,
-                    cfg: SamplerConfig, rng: np.random.Generator,
-                    candidates=None) -> tuple[np.ndarray, float]:
-    if points.shape[0] < 1:
-        raise ValueError("configuration must be non-empty")
-    fixed_pool = candidates is not None
-    retries = 1 if fixed_pool else cfg.max_retries
-    for _ in range(retries):
-        if fixed_pool:
-            cands = np.asarray(candidates, float).reshape(-1, oracle.dim)
-        else:
-            # the arithmetic of rng.uniform(low, high, size), bit for bit
-            cands = cells.low + cells.span * rng.random(
-                (cfg.candidate_count, oracle.dim))
-        best_idx, best_score = _score_candidates(points, kappas, order,
-                                                 cands, oracle.kappa(cands),
-                                                 p, cells)
-        if best_idx >= 0:
-            return cands[best_idx].copy(), best_score
-    raise NoValidCandidate(
-        f"all candidates violated eps_dist after {retries} redraw(s)"
-    )
-
-
 def propose_next_point(c: PointConfiguration, oracle: DensityOracle,
                        p: RieszParams, cfg: SamplerConfig,
                        rng: np.random.Generator, candidates=None) -> np.ndarray:
-    """Candidate minimizing the incremental criterion over a candidate pool.
+    """Candidate minimizing the incremental criterion over one candidate pool.
 
-    Candidates are drawn uniformly over the oracle's box unless an explicit
-    pool is supplied, in which case the argmin over that pool is returned
-    (ties break toward the first index).
+    The pool is candidate_count draws uniform over the oracle's box unless
+    an explicit pool is supplied; ties break toward the first index.  Raises
+    NumericalError when no candidate of the pool is valid.
     """
-    cells = _Cells(oracle, _CELLS_PER_POINT * c.n, c.points[:, 0])
-    point, _ = _propose_scored(c.points, c.kappa_values,
-                               np.argsort(c.points[:, 0]), cells, oracle, p,
-                               cfg, rng, candidates)
-    return point
+    if c.n < 1:
+        raise ValueError("configuration must be non-empty")
+    low = oracle.domain_low
+    span = oracle.domain_high - low
+    if candidates is None:
+        # the arithmetic of rng.uniform(low, high, size), bit for bit
+        cands = low + span * rng.random((cfg.candidate_count, oracle.dim))
+    else:
+        cands = np.asarray(candidates, float).reshape(-1, oracle.dim)
+    cells = _Cells(low[0], span[0], _CELLS_PER_POINT * c.n, c.points[:, 0])
+    best, _ = _score_candidates(c.points, c.kappa_values,
+                                np.argsort(c.points[:, 0]), cands,
+                                oracle.kappa(cands), p, cells)
+    if best < 0:
+        raise NumericalError("all candidates violated eps_dist")
+    return cands[best].copy()
 
 
 def accept_candidate(x_new, x_last, r_min_current: float,
@@ -260,7 +239,7 @@ def accept_candidate(x_new, x_last, r_min_current: float,
     denom = math.sqrt(x_last.dot(x_last))
     if denom == 0.0:
         if domain_diameter is None:
-            raise OriginReference("x_last at origin and no domain diameter given")
+            raise ValueError("x_last at origin and no domain diameter given")
         denom = float(domain_diameter)
     return dist / denom >= rng.random()
 
@@ -270,8 +249,11 @@ def generate_configuration(oracle: DensityOracle, p: RieszParams,
     """Run the full greedy loop and return the configuration plus bookkeeping.
 
     Deterministic given cfg.seed.  ``initial`` overrides the quadrature-based
-    initial point (required for d > 1).  Raises BudgetExhausted when
-    max_retries * n_points candidate draws cannot place every point.
+    initial point (required for d > 1).  Each attempt scores one pool of
+    candidate_count uniform candidates and screens its best one; a pool
+    with no valid candidate is a rejected attempt that counts
+    candidate_count rejected candidates.  Raises BudgetExhausted when
+    max_retries * n_points pools cannot place every point.
 
     The distance gate passed to accept_candidate is half the running minimum
     separation: an exact farthest-point insertion sits at distance >= r_min/2
@@ -279,7 +261,7 @@ def generate_configuration(oracle: DensityOracle, p: RieszParams,
     screens stragglers without deadlocking the fill.
     """
     if p.d != oracle.dim:
-        raise DimensionUnsupported(
+        raise ValueError(
             f"params dimension {p.d} != oracle dimension {oracle.dim}"
         )
     rng = np.random.default_rng(cfg.seed)
@@ -294,48 +276,49 @@ def generate_configuration(oracle: DensityOracle, p: RieszParams,
     kappas[0] = oracle.kappa(x0)
     # indices of the placed points in first-coordinate order
     order = np.zeros(n, dtype=np.intp)
-    cells = _Cells(oracle, _CELLS_PER_POINT * n, points[:1, 0])
+    low = oracle.domain_low
+    span = oracle.domain_high - low
+    cells = _Cells(low[0], span[0], _CELLS_PER_POINT * n, points[:1, 0])
     diameter = oracle.diameter
     rejected = 0
     trace = np.empty(n - 1)
     total_log_energy = -np.inf
     r_min = np.inf
-    budget = cfg.max_retries * cfg.n_points
+    budget = cfg.max_retries * n
     attempts = 0
     k = 1
     while k < n:
-        placed = False
-        while attempts < budget:
-            attempts += 1
-            try:
-                cand, cand_score = _propose_scored(points[:k], kappas[:k],
-                                                   order[:k], cells, oracle, p,
-                                                   cfg, rng)
-            except NoValidCandidate:
-                rejected += cfg.candidate_count
-                continue
-            threshold = 0.0 if k < 2 else 0.5 * r_min
-            if accept_candidate(cand, points[k - 1], threshold, rng, diameter):
-                # np.linalg.norm's rows; the least root is the least's root
-                diff = points[:k] - cand
-                r_min = min(r_min, math.sqrt((diff * diff).sum(axis=1).min()))
-                total_log_energy = np.logaddexp(total_log_energy, cand_score)
-                trace[k - 1] = total_log_energy / p.s
-                at = points[order[:k], 0].searchsorted(cand[0])
-                order[at + 1:k + 1] = order[at:k]
-                order[at] = k
-                cells.insert(cand[0])
-                points[k] = cand
-                kappas[k] = oracle.kappa(cand)
-                k += 1
-                placed = True
-                break
-            rejected += 1
-        if not placed:
+        if attempts == budget:
             raise BudgetExhausted(
-                f"{budget} candidate draws were not enough to place "
-                f"{cfg.n_points} points (placed {k})"
+                f"{budget} candidate pools were not enough to place "
+                f"{n} points (placed {k})"
             )
+        attempts += 1
+        # the arithmetic of rng.uniform(low, high, size), bit for bit
+        cands = low + span * rng.random((cfg.candidate_count, d))
+        best, score = _score_candidates(points[:k], kappas[:k], order[:k],
+                                        cands, oracle.kappa(cands), p, cells)
+        if best < 0:  # no valid candidate: the whole pool is rejected
+            rejected += cfg.candidate_count
+            continue
+        cand = cands[best]
+        threshold = 0.0 if k < 2 else 0.5 * r_min
+        if not accept_candidate(cand, points[k - 1], threshold, rng,
+                                diameter):
+            rejected += 1
+            continue
+        # np.linalg.norm's rows; the least root is the least's root
+        diff = points[:k] - cand
+        r_min = min(r_min, math.sqrt((diff * diff).sum(axis=1).min()))
+        total_log_energy = np.logaddexp(total_log_energy, score)
+        trace[k - 1] = total_log_energy / p.s
+        at = points[order[:k], 0].searchsorted(cand[0])
+        order[at + 1:k + 1] = order[at:k]
+        order[at] = k
+        cells.insert(cand[0])
+        points[k] = cand
+        kappas[k] = oracle.kappa(cand)
+        k += 1
     config = PointConfiguration(points, kappas, d)
     return GenerationReport(
         configuration=config,
@@ -357,7 +340,7 @@ def quantile_mapped_configuration(target_oracle: DensityOracle, cdf_fn,
     recorded in probability space.  p.d must be 1.
     """
     if target_oracle.dim != 1:
-        raise DimensionUnsupported("quantile mapping is defined for d == 1")
+        raise ValueError("quantile mapping is defined for d == 1")
     u_lo = float(cdf_fn(target_oracle.domain_low[0]))
     u_hi = float(cdf_fn(target_oracle.domain_high[0]))
     u_oracle = DensityOracle.uniform_box([u_lo], [u_hi])

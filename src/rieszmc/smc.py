@@ -27,8 +27,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri, wrightomega
 
 from .energy import DensityOracle, PointConfiguration, RieszParams
-from .errors import AllWeightsZero, LengthMismatch, NumericalError
-from .sampler import SamplerConfig, quantile_mapped_configuration
+from .errors import AllWeightsZero, NumericalError
+from .sampler import SamplerConfig, _Cells, quantile_mapped_configuration
 from .ssm import (
     LgssParams,
     SvParams,
@@ -275,37 +275,27 @@ class RieszProposalSet:
         return self._mixture_tables(log_counts, n)
 
     def _build_cell_table(self):
-        """Equal cells over the hull of z for ``_rank``.
-
-        G = 8 N' cells; first[c] = #{z : cell(z) < c}, and depth is the most
-        points in one cell.  The sorted points are padded with depth NaNs,
-        which compare false against every residual (+inf padding would count
-        itself under r = +inf).
+        """The generator's table of G = 8 N' equal cells over the hull of z
+        for ``_rank``, and depth, the most points in one cell.  The sorted
+        points are padded with depth NaNs, which compare false against every
+        residual (+inf padding would count itself under r = +inf).
         """
         z = self._sorted_z
-        self._n_cells = 8 * z.shape[0]
-        self._cells_per_unit = self._n_cells / (z[-1] - z[0])
-        counts = np.bincount(self._cell(z), minlength=self._n_cells)
-        self._first = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        self._depth = int(counts.max())
+        self._cells = _Cells(z[0], z[-1] - z[0], 8 * z.shape[0], z)
+        self._depth = int(np.diff(self._cells.below, append=z.shape[0]).max())
         self._zpad = np.concatenate((z, np.full(self._depth, np.nan)))
-
-    def _cell(self, v: np.ndarray) -> np.ndarray:
-        """Cell index of each value: floor((v - z_(1)) G / span) in [0, G)."""
-        c = np.floor((v - self._sorted_z[0]) * self._cells_per_unit)
-        return np.fmin(np.fmax(c, 0.0), self._n_cells - 1).astype(np.intp)
 
     def _rank(self, r: np.ndarray) -> np.ndarray:
         """k = #{z_j <= r}, ``np.searchsorted(sorted z, r, "right")``.
 
-        cell() is monotone, so the points of lower cells are all <= r and
-        those of higher cells all > r; only r's own cell, at most depth
-        points from first[cell(r)] on, is compared.  NaN maps to cell 0 and
-        compares false.
+        The cell index is monotone, so the points of lower cells are all
+        <= r and those of higher cells all > r; only r's own cell, at most
+        depth points from below[cell(r)] on, is compared.  NaN maps to cell
+        0 and compares false.
         """
         if r.shape[0] < _CELL_RANK_MIN:
             return self._sorted_z.searchsorted(r, side="right")
-        first = self._first[self._cell(r)]
+        first = self._cells.below[self._cells.cell(r)]
         k = first + (self._zpad[first] <= r)
         for t in range(1, self._depth):
             k += self._zpad[first + t] <= r
@@ -470,7 +460,7 @@ def log_bias_mse(filtered, oracle_means) -> tuple[float, float]:
     f = np.asarray(filtered, dtype=float)
     o = np.asarray(oracle_means, dtype=float)
     if f.shape != o.shape:
-        raise LengthMismatch("filtered and oracle series differ in length")
+        raise ValueError("filtered and oracle series differ in length")
     diff = f - o
     bias = float(np.mean(np.abs(diff)))
     mse = float(np.mean(diff ** 2))

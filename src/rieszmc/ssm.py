@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch
-
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -78,7 +76,7 @@ class Trajectory:
         self.states = np.asarray(self.states, dtype=float)
         self.observations = np.asarray(self.observations, dtype=float)
         if self.observations.shape[0] != self.states.shape[0] - 1:
-            raise LengthMismatch("observations must have length len(states) - 1")
+            raise ValueError("observations must have length len(states) - 1")
 
 
 @dataclass

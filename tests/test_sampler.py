@@ -23,13 +23,7 @@ from rieszmc import (
     quantile_mapped_configuration,
     uniformity_statistic,
 )
-from rieszmc.errors import (
-    BudgetExhausted,
-    DegenerateDensity,
-    DimensionUnsupported,
-    NoValidCandidate,
-    OriginReference,
-)
+from rieszmc.errors import BudgetExhausted, DegenerateDensity, NumericalError
 from rieszmc.sampler import (
     _CELLS_PER_POINT,
     _GRID_RESOLUTION,
@@ -80,7 +74,8 @@ class TestInitialPoint:
 
     def test_dimension_guard(self):
         box = DensityOracle.uniform_box([0.0, 0.0], [1.0, 1.0])
-        with pytest.raises(DimensionUnsupported):
+        with pytest.raises(ValueError,
+                           match="initial_point is defined for d == 1"):
             initial_point(box)
 
 
@@ -135,7 +130,8 @@ class TestProposeNextPoint:
         p = RieszParams(s=40.0, d=1, eps_dist=2.0)  # everything too close
         rng = np.random.default_rng(0)
         cfg = SamplerConfig(n_points=2, max_retries=2)
-        with pytest.raises(NoValidCandidate):
+        with pytest.raises(NumericalError,
+                           match="all candidates violated eps_dist"):
             propose_next_point(c, oracle, p, cfg, rng)
 
 
@@ -217,7 +213,8 @@ def _cell_pools():
 
 
 def _cell_table_scores(pts, kap, cands, cand_kap, params, box, n_cells):
-    cells = _Cells(box, n_cells, pts[:, 0])
+    low = box.domain_low[0]
+    cells = _Cells(low, box.domain_high[0] - low, n_cells, pts[:, 0])
     return _score_candidates(pts, kap, np.argsort(pts[:, 0]), cands,
                              cand_kap, params, cells)
 
@@ -254,7 +251,7 @@ class TestScoreCandidates:
         assert n_cases == 6
 
     def test_cells_clip_to_the_table(self):
-        cells = _Cells(DensityOracle.uniform_box([-5.0], [5.0]), 10)
+        cells = _Cells(-5.0, 10.0, 10, ())
         x = np.array([-np.inf, -6.0, -5.0, -4.0, 0.0, 4.999, 5.0, 9.0,
                       np.inf, np.nan])
         assert cells.cell(x).tolist() == [0, 0, 0, 1, 5, 9, 9, 9, 9, 0]
@@ -330,7 +327,8 @@ class TestAcceptCandidate:
 
     def test_origin_reference(self):
         rng = np.random.default_rng(3)
-        with pytest.raises(OriginReference):
+        with pytest.raises(ValueError,
+                           match="x_last at origin and no domain diameter given"):
             accept_candidate([0.5], [0.0], 0.0, rng)
         # with the domain diameter substituted, ratio 0.5/1.0 applies
         hits = sum(accept_candidate([0.5], [0.0], 0.0, rng,
@@ -451,6 +449,23 @@ class TestGenerateConfiguration:
         with pytest.raises(BudgetExhausted):
             generate_configuration(UNIFORM01, p, cfg)
 
+    def test_budget_counts_candidate_pools(self, monkeypatch):
+        # after two points no candidate is valid: each attempt scores one
+        # pool, so the budget of max_retries * n_points attempts is 192
+        # pools, and the message counts them
+        pools = []
+
+        def counted(*args):
+            pools.append(args[3].shape[0])
+            return _score_candidates(*args)
+
+        monkeypatch.setattr("rieszmc.sampler._score_candidates", counted)
+        p = RieszParams(s=40.0, d=1, eps_dist=0.6)
+        with pytest.raises(BudgetExhausted,
+                           match="^192 candidate pools were not enough"):
+            generate_configuration(UNIFORM01, p, SamplerConfig(n_points=3))
+        assert pools == [512] * 192
+
     def test_initial_override_supports_2d(self):
         box = DensityOracle.uniform_box([0.0, 0.0], [1.0, 1.0])
         p2 = RieszParams(s=10.0, d=2, beta=2.0)
@@ -496,7 +511,8 @@ class TestQuantileMappedConfiguration:
 
     def test_two_dimensional_params_are_rejected(self):
         # generation runs on the line; d = 2 used to be replaced by 1
-        with pytest.raises(DimensionUnsupported):
+        with pytest.raises(ValueError,
+                           match="params dimension 2 != oracle dimension 1"):
             quantile_mapped_configuration(
                 DensityOracle.gaussian(0.0, 1.0, 5.0), ndtr, ndtri,
                 RieszParams(s=40.0, d=2), SamplerConfig(n_points=20))

@@ -27,12 +27,7 @@ from rieszmc import (
     run_filter,
     sv_simulate,
 )
-from rieszmc.errors import (
-    AllWeightsZero,
-    DimensionUnsupported,
-    LengthMismatch,
-    NumericalError,
-)
+from rieszmc.errors import AllWeightsZero, NumericalError
 from rieszmc.smc import (
     _CELL_RANK_MIN,
     _SORTED_SEARCH_MIN,
@@ -178,7 +173,8 @@ class TestSearchUnsorted:
 class TestRieszProposalSet:
     def test_two_dimensional_params_are_rejected(self):
         # the set is one-dimensional; d = 2 used to be replaced by 1
-        with pytest.raises(DimensionUnsupported):
+        with pytest.raises(ValueError,
+                           match="params dimension 2 != oracle dimension 1"):
             RieszProposalSet.standard_normal(
                 20, RieszParams(s=40.0, d=2), SamplerConfig(n_points=20))
 
@@ -738,5 +734,6 @@ class TestLogBiasMse:
         assert lm == pytest.approx(0.0, abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError,
+                           match="filtered and oracle series differ in length"):
             log_bias_mse([1.0], [1.0, 2.0])

@@ -21,7 +21,6 @@ from rieszmc import (
     sv_simulate,
     sv_transition_logpdf,
 )
-from rieszmc.errors import LengthMismatch
 
 PAPER = LgssParams(phi=0.75, sigma_v=1.0, sigma_o=0.1)
 
@@ -47,7 +46,7 @@ class TestParams:
             SvParams(**kwargs)
 
     def test_trajectory_length_contract(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ValueError, match="observations must have length"):
             Trajectory(np.zeros(5), np.zeros(5))
 
 
