@@ -13,17 +13,14 @@ from .energy import (
 )
 from .pmh import (
     ChainOutput,
-    ChainState,
     IndependentPrior,
     LgssPhiFamily,
     PmhConfig,
     SvFamily,
     TruncatedGaussianPrior,
-    acceptance_log_ratio,
     acf,
     pmh_run,
     posterior_summary,
-    propose_theta,
 )
 from .sampler import (
     GenerationReport,

@@ -7,9 +7,10 @@ and seed reproduce results.csv byte for byte.
 
 Config values arrive typed like their defaults (see ``_merge``).  The
 ``riesz``, ``sampler`` and ``proposal`` sections are the fields of
-``RieszParams``, ``SamplerConfig`` and ``ProposalSpec``; a run that filters
-builds one ``RieszProposalSet`` from them, and every filter pass of the run,
-each chain's and the volatility filter's, draws through that one set.
+``RieszParams`` (but ``d``), ``SamplerConfig`` (but ``n_points`` and
+``seed``) and ``ProposalSpec``; a run that filters builds one
+``RieszProposalSet`` from them, and every filter pass of the run, each
+chain's and the volatility filter's, draws through that one set.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
@@ -23,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from datetime import date as _date
 from importlib import resources
 from pathlib import Path
@@ -70,56 +71,49 @@ from .ssm import LgssParams, kalman_filter, lgss_simulate
 EXPERIMENTS = ("generate-points", "filter-lgss", "pmh-lgss", "pmh-sv",
                "diagnostics")
 
-# the library's own defaults; load_config deep-copies DEFAULTS before use
-_RIESZ = asdict(RieszParams())
-_SAMPLER = {f.name: f.default for f in fields(SamplerConfig)
-            if f.name not in ("n_points", "seed")}
-_PROPOSAL = asdict(ProposalSpec())
+
+def _field_defaults(cls, *skip) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+
+
+# the library's own defaults, in sections shared by the subcommands that
+# read them; load_config deep-copies DEFAULTS before use.  Every
+# configuration the CLI builds is 1-D, so riesz takes RieszParams' d = 1.
+_GENERATOR = {"riesz": _field_defaults(RieszParams, "d"),
+              "sampler": _field_defaults(SamplerConfig, "n_points", "seed")}
+_FILTERING = {"proposal": _field_defaults(ProposalSpec), **_GENERATOR}
+_TARGET = {"target": "normal", "mean": 0.0, "std": 1.0, "half_width": 5.0,
+           "box": [0.0, 1.0], "quantile_mapped": True,
+           "covering_resolution": 1000}
+_LGSS_DATA = {"model": {"phi": 0.75, "sigma_v": 1.0, "sigma_o": 0.1,
+                        "x0": 0.0},
+              "T": 250, "data_seed": 1}
+_PMH = {"burn_in": None, "max_lag": 50}
 
 DEFAULTS = {
-    "generate-points": {
-        "n_points": 200,
-        "target": "normal",
-        "mean": 0.0,
-        "std": 1.0,
-        "half_width": 5.0,
-        "box": [0.0, 1.0],
-        "quantile_mapped": True,
-        "covering_resolution": 1000,
-        "riesz": _RIESZ,
-        "sampler": _SAMPLER,
-    },
+    "generate-points": {"n_points": 200, **_TARGET, **_GENERATOR},
     "filter-lgss": {
-        "model": {"phi": 0.75, "sigma_v": 1.0, "sigma_o": 0.1, "x0": 0.0},
-        "T": 250,
-        "data_seed": 1,
+        **_LGSS_DATA,
         "n_values": [10, 20, 50, 100, 200, 500, 1000],
         "n_riesz": 100,
         "n_seeds": 10,
-        "proposal": _PROPOSAL,
-        "riesz": _RIESZ,
-        "sampler": _SAMPLER,
+        **_FILTERING,
     },
     "pmh-lgss": {
-        "model": {"phi": 0.75, "sigma_v": 1.0, "sigma_o": 0.1, "x0": 0.0},
-        "T": 250,
-        "data_seed": 1,
+        **_LGSS_DATA,
+        **_PMH,
         "iterations": 2000,
-        "burn_in": None,
         "step_sizes": [0.1],
         "theta0": [0.75],
         "prior": {"mean": 0.75, "std": 0.5},
         "n_particles": 100,
         "n_riesz": 100,
-        "max_lag": 50,
-        "proposal": _PROPOSAL,
-        "riesz": _RIESZ,
-        "sampler": _SAMPLER,
+        **_FILTERING,
     },
     "pmh-sv": {
+        **_PMH,
         "returns_scale": 100.0,
         "iterations": 1500,
-        "burn_in": None,
         "step_sizes": [1.0, 0.05, 0.03],
         "theta0": [0.0, 0.95, 0.2],
         "priors": {"mu": [0.0, 1.0], "rho": [0.95, 0.2],
@@ -127,22 +121,10 @@ DEFAULTS = {
         "tau": 1.0,
         "n_particles": 200,
         "n_riesz": 180,
-        "max_lag": 50,
-        "proposal": _PROPOSAL,
-        "riesz": _RIESZ,
-        "sampler": _SAMPLER,
+        **_FILTERING,
     },
-    "diagnostics": {
-        "n_values": [20, 50, 100, 200],
-        "target": "normal",
-        "mean": 0.0,
-        "std": 1.0,
-        "half_width": 5.0,
-        "quantile_mapped": True,
-        "covering_resolution": 1000,
-        "riesz": _RIESZ,
-        "sampler": _SAMPLER,
-    },
+    "diagnostics": {"n_values": [20, 50, 100, 200], **_TARGET,
+                    **_GENERATOR},
 }
 
 
@@ -163,11 +145,6 @@ class ReturnsSeries:
 
     dates: list
     log_returns: np.ndarray
-
-    def __post_init__(self):
-        self.log_returns = np.asarray(self.log_returns, dtype=float)
-        if len(self.dates) != self.log_returns.shape[0]:
-            raise DataError("dates and log_returns must have equal length")
 
 
 # ---------------------------------------------------------------------------
@@ -388,55 +365,37 @@ def _build_target(options: dict):
     raise ConfigError(f"unknown target '{target}'")
 
 
-def _riesz_params(options: dict) -> RieszParams:
-    if options["riesz"]["d"] != 1:  # every configuration here is 1-D
-        raise ConfigError("config key riesz.d must be 1")
-    return RieszParams(**options["riesz"])
-
-
-def _generate(options: dict, n_points: int, seed: int):
-    oracle, cdf_fn, quantile_fn = _build_target(options)
-    params = _riesz_params(options)
-    cfg = SamplerConfig(n_points=n_points, seed=seed, **options["sampler"])
-    if options["quantile_mapped"]:
+def _configuration(opt: dict, n_points: int, seed: int):
+    """One configuration of the config's target: its generation report,
+    its diagnostics and its QQ pairs (theoretical, empirical)."""
+    resolution = opt["covering_resolution"]
+    if resolution < 2:
+        raise ConfigError("covering_resolution must be at least 2")
+    oracle, cdf_fn, quantile_fn = _build_target(opt)
+    params = RieszParams(**opt["riesz"])
+    cfg = SamplerConfig(n_points=n_points, seed=seed, **opt["sampler"])
+    if opt["quantile_mapped"]:
         report = quantile_mapped_configuration(oracle, cdf_fn, quantile_fn,
                                                params, cfg)
     else:
         report = generate_configuration(oracle, params, cfg)
-    return report, oracle, cdf_fn, quantile_fn, params
-
-
-def _covering_resolution(options: dict) -> int:
-    """Points of the grid the covering radius is measured on."""
-    resolution = options["covering_resolution"]
-    if resolution < 2:
-        raise ConfigError("covering_resolution must be at least 2")
-    return resolution
-
-
-def _config_diagnostics(report, oracle, cdf_fn, params,
-                        covering_resolution: int) -> dict:
     config = report.configuration
-    grid = np.linspace(oracle.domain_low[0], oracle.domain_high[0],
-                       covering_resolution)[:, None]
     n = config.n
-    return {
+    grid = np.linspace(oracle.domain_low[0], oracle.domain_high[0],
+                       resolution)[:, None]
+    separation = min_separation(config)
+    diag = {
         "n_points": n,
-        "min_separation": min_separation(config),
+        "min_separation": separation,
         "covering_radius": covering_radius(config, grid),
         "ks_statistic": uniformity_statistic(config, cdf_fn),
         "log_energy": config_energy(config, params),
-        "separation_product": (min_separation(config)
-                               * n ** (1.0 / params.d + 2.0 / params.s)),
+        "separation_product": separation * n ** (1.0 / params.d
+                                                 + 2.0 / params.s),
         "rejected_candidates": report.rejected_candidates,
     }
-
-
-def _qq_pairs(config, quantile_fn):
-    pts = np.sort(config.points[:, 0])
-    n = pts.shape[0]
     theoretical = quantile_fn((np.arange(1, n + 1) - 0.5) / n)
-    return list(zip(theoretical, pts))
+    return report, diag, list(zip(theoretical, np.sort(config.points[:, 0])))
 
 
 def _proposal_set(opt: dict, seed: int) -> RieszProposalSet:
@@ -444,7 +403,7 @@ def _proposal_set(opt: dict, seed: int) -> RieszProposalSet:
     and proposal sections, generated with ``seed``."""
     n_riesz = opt["n_riesz"]
     return RieszProposalSet.standard_normal(
-        n_riesz, _riesz_params(opt),
+        n_riesz, RieszParams(**opt["riesz"]),
         SamplerConfig(n_points=n_riesz, seed=seed, **opt["sampler"]),
         ProposalSpec(**opt["proposal"]))
 
@@ -471,25 +430,22 @@ def _lgss_data(options: dict):
 # experiments
 
 def _run_generate_points(cfg: ExperimentConfig) -> dict:
-    opt = cfg.options
-    resolution = _covering_resolution(opt)
-    report, oracle, cdf_fn, quantile_fn, params = _generate(
-        opt, opt["n_points"], cfg.seed)
+    report, diag, qq = _configuration(cfg.options, cfg.options["n_points"],
+                                      cfg.seed)
     config = report.configuration
     rows = [(i, config.points[i, 0], config.kappa_values[i])
             for i in range(config.n)]
     _write_csv(cfg.output_dir / "results.csv", ["index", "x", "kappa"], rows)
     _write_csv(cfg.output_dir / "plotdata" / "qq.csv",
-               ["theoretical", "empirical"], _qq_pairs(config, quantile_fn))
+               ["theoretical", "empirical"], qq)
     _write_csv(cfg.output_dir / "plotdata" / "energy_trace.csv",
                ["step", "log_energy"],
                list(enumerate(report.energy_trace, start=1)))
-    return _config_diagnostics(report, oracle, cdf_fn, params, resolution)
+    return diag
 
 
 def _run_diagnostics(cfg: ExperimentConfig) -> dict:
     opt = cfg.options
-    resolution = _covering_resolution(opt)
     header = ["n", "min_separation", "covering_radius", "ks_statistic",
               "log_energy", "separation_product"]
     rows = []
@@ -497,14 +453,9 @@ def _run_diagnostics(cfg: ExperimentConfig) -> dict:
     summary_rows = []
     seeds = _child_seeds(np.random.SeedSequence(cfg.seed), len(opt["n_values"]))
     for n, seed in zip(opt["n_values"], seeds):
-        report, oracle, cdf_fn, quantile_fn, params = _generate(opt, n, seed)
-        diag = _config_diagnostics(report, oracle, cdf_fn, params,
-                                   resolution)
-        rows.append((n, diag["min_separation"], diag["covering_radius"],
-                     diag["ks_statistic"], diag["log_energy"],
-                     diag["separation_product"]))
-        qq_rows.extend((n, t, e) for t, e in
-                       _qq_pairs(report.configuration, quantile_fn))
+        _, diag, qq = _configuration(opt, n, seed)
+        rows.append((n, *(diag[key] for key in header[1:])))
+        qq_rows.extend((n, t, e) for t, e in qq)
         summary_rows.append(diag)
     _write_csv(cfg.output_dir / "results.csv", header, rows)
     _write_csv(cfg.output_dir / "plotdata" / "qq.csv",
@@ -562,8 +513,6 @@ def _pmh_common(opt: dict) -> tuple[int, int, int]:
     burn_in = opt["burn_in"]
     if burn_in is None:
         burn_in = iterations // 4
-    if not 0 <= burn_in < iterations:
-        raise ConfigError("burn_in must lie in [0, iterations)")
     if opt["max_lag"] < 0:
         raise ConfigError("max_lag must be nonnegative")
     max_lag = min(opt["max_lag"], iterations - burn_in - 1)
@@ -687,12 +636,31 @@ _RUNNERS = {
 }
 
 
+def _report(exc: Exception) -> int:
+    """Print the JSON error line of ``exc`` to stderr; returns its exit code.
+
+    The library's constructors reject out-of-range options with ValueError,
+    and a value too large for float arithmetic raises OverflowError; every
+    option comes from the config, so both exit as config errors.
+    """
+    name, message = type(exc).__name__, str(exc)
+    if isinstance(exc, ConfigError):
+        code = 2
+    elif isinstance(exc, (DataError, OSError)):
+        code = 3
+    elif isinstance(exc, RieszmcError):
+        code = 4
+    else:
+        name, message, code = "ConfigError", f"invalid configuration: {exc}", 2
+    print(json.dumps({"error": name, "message": message, "exit_code": code}),
+          file=sys.stderr)
+    return code
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit status.
 
-    On failure a machine-readable error JSON is printed to stderr.  The
-    library's constructors reject out-of-range options with ValueError;
-    every option comes from the config, so those exit as config errors.
+    On failure a machine-readable error JSON is printed to stderr.
     """
     try:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -706,25 +674,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         }
         _write_json(cfg.output_dir / "summary.json", summary)
         return 0
-    except RieszmcError as exc:
-        if isinstance(exc, ConfigError):
-            code = 2
-        elif isinstance(exc, DataError):
-            code = 3
-        else:
-            code = 4
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                          "exit_code": code}), file=sys.stderr)
-        return code
-    except ValueError as exc:
-        print(json.dumps({"error": "ConfigError",
-                          "message": f"invalid configuration: {exc}",
-                          "exit_code": 2}), file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                          "exit_code": 3}), file=sys.stderr)
-        return 3
+    except (RieszmcError, ValueError, OverflowError, OSError) as exc:
+        return _report(exc)
 
 
 def main(argv=None) -> None:
@@ -746,9 +697,7 @@ def main(argv=None) -> None:
         cfg = load_config(args.experiment, args.config, args.seed,
                           args.output)
     except ConfigError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc),
-                          "exit_code": 2}), file=sys.stderr)
-        sys.exit(2)
+        sys.exit(_report(exc))
     sys.exit(run_experiment(cfg))
 
 

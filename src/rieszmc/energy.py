@@ -357,17 +357,15 @@ def covering_radius(c: PointConfiguration, reference) -> float:
 def uniformity_statistic(c: PointConfiguration, target_cdf) -> float:
     """Kolmogorov-Smirnov statistic of the probability-transformed points.
 
-    Maps each point through ``target_cdf`` and returns
-    sup_x |F_empirical(x) - target_cdf(x)|, i.e. the KS distance of the
-    transformed sample from the uniform law on [0, 1].  Dimension one only.
+    Maps the sorted points through ``target_cdf``, called once on their
+    array, and returns sup_x |F_empirical(x) - target_cdf(x)|, i.e. the KS
+    distance of the transformed sample from the uniform law on [0, 1].
+    Dimension one only.
     """
     if c.dim != 1:
         raise ValueError("uniformity_statistic is defined for d == 1")
     x = np.sort(c.points[:, 0])
-    try:
-        u = np.asarray(target_cdf(x), dtype=float)
-    except (TypeError, ValueError):
-        u = np.array([float(target_cdf(v)) for v in x])
+    u = np.asarray(target_cdf(x), dtype=float)
     n = x.shape[0]
     grid_hi = np.arange(1, n + 1) / n
     grid_lo = np.arange(0, n) / n

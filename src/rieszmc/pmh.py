@@ -28,15 +28,6 @@ from .ssm import LgssParams, SvParams
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-@dataclass
-class ChainState:
-    """Current parameter vector with its likelihood estimate and prior."""
-
-    theta: np.ndarray
-    log_lik_hat: float
-    log_prior: float
-
-
 @dataclass(frozen=True)
 class PmhConfig:
     """Chain length, step sizes and the particle budget per evaluation."""
@@ -161,27 +152,6 @@ class SvFamily:
 # ---------------------------------------------------------------------------
 # chain operations
 
-def propose_theta(theta: np.ndarray, step_sizes: np.ndarray,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Gaussian random walk; out-of-support proposals are returned as-is."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    steps = np.atleast_1d(np.asarray(step_sizes, dtype=float))
-    if steps.shape != theta.shape:
-        raise ValueError("step_sizes shape must match theta")
-    return theta + steps * rng.standard_normal(theta.shape[0])
-
-
-def acceptance_log_ratio(current: ChainState, proposed: ChainState) -> float:
-    """Log acceptance ratio; -inf when the proposal has zero prior mass.
-
-    The random walk is symmetric, so no proposal-density term enters.
-    """
-    if proposed.log_prior == -np.inf:
-        return -np.inf
-    return (proposed.log_lik_hat + proposed.log_prior
-            - current.log_lik_hat - current.log_prior)
-
-
 def pmh_run(family, obs, prior, cfg: PmhConfig, *, theta0,
             proposal_set: RieszProposalSet | None = None,
             loglik_fn: Callable | None = None) -> ChainOutput:
@@ -193,9 +163,14 @@ def pmh_run(family, obs, prior, cfg: PmhConfig, *, theta0,
     the default one, ``RieszParams()`` and ``ProposalSpec()`` with a
     generator seed drawn from cfg.seed.  ``loglik_fn(theta, rng)`` overrides
     the particle-filter likelihood (used to reduce the chain to
-    exact-likelihood MH in tests).  A rejected proposal never overwrites the
-    stored likelihood estimate; a proposal whose filter raises AllWeightsZero
-    (p-hat = 0) is rejected.
+    exact-likelihood MH in tests).
+
+    Each iteration proposes theta + cfg.step_sizes * z, z ~ N(0, I), a
+    symmetric random walk, so the log acceptance ratio is the change in
+    log-likelihood estimate plus log-prior.  A proposal outside the prior's
+    support is rejected without a filter pass, and one whose filter raises
+    AllWeightsZero (p-hat = 0) is rejected.  A rejected proposal never
+    overwrites the stored likelihood estimate.
     """
     obs = np.asarray(obs, dtype=float)
     ss = np.random.SeedSequence(cfg.seed)
@@ -219,6 +194,9 @@ def pmh_run(family, obs, prior, cfg: PmhConfig, *, theta0,
         return out.log_likelihood
 
     theta = np.atleast_1d(np.asarray(theta0, dtype=float)).copy()
+    steps = cfg.step_sizes
+    if steps.shape != theta.shape:
+        raise ValueError("step_sizes shape must match theta")
     log_prior = prior.log_prior(theta)
     if log_prior == -np.inf:
         raise ValueError("theta0 must have positive prior mass")
@@ -229,7 +207,7 @@ def pmh_run(family, obs, prior, cfg: PmhConfig, *, theta0,
     accepted = np.zeros(cfg.iterations, dtype=bool)
     log_liks = np.empty(cfg.iterations)
     for it in range(cfg.iterations):
-        proposal = propose_theta(theta, cfg.step_sizes, rng_chain)
+        proposal = theta + steps * rng_chain.standard_normal(k)
         if np.array_equal(proposal, theta):
             # degenerate (zero-step) proposal: no-op move, keep the estimate
             accepted[it] = True
@@ -241,9 +219,7 @@ def pmh_run(family, obs, prior, cfg: PmhConfig, *, theta0,
                     ll_prop = evaluate(proposal, rng_filter)
                 except AllWeightsZero:
                     ll_prop = -np.inf
-                log_ratio = acceptance_log_ratio(
-                    ChainState(theta, log_lik, log_prior),
-                    ChainState(proposal, ll_prop, lp_prop))
+                log_ratio = ll_prop + lp_prop - log_lik - log_prior
                 if math.log(rng_chain.random()) < log_ratio:
                     theta = proposal
                     log_lik = ll_prop

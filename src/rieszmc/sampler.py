@@ -248,12 +248,13 @@ def generate_configuration(oracle: DensityOracle, p: RieszParams,
                            cfg: SamplerConfig, initial=None) -> GenerationReport:
     """Run the full greedy loop and return the configuration plus bookkeeping.
 
-    Deterministic given cfg.seed.  ``initial`` overrides the quadrature-based
-    initial point (required for d > 1).  Each attempt scores one pool of
-    candidate_count uniform candidates and screens its best one; a pool
-    with no valid candidate is a rejected attempt that counts
-    candidate_count rejected candidates.  Raises BudgetExhausted when
-    max_retries * n_points pools cannot place every point.
+    Deterministic given cfg.seed.  ``initial``, a point of d coordinates,
+    overrides the quadrature-based initial point (required for d > 1).
+    Each attempt scores one pool of candidate_count uniform candidates and
+    screens its best one; a pool with no valid candidate is a rejected
+    attempt that counts candidate_count rejected candidates.  Raises
+    BudgetExhausted when max_retries * n_points pools cannot place every
+    point.
 
     The distance gate passed to accept_candidate is half the running minimum
     separation: an exact farthest-point insertion sits at distance >= r_min/2
@@ -269,6 +270,9 @@ def generate_configuration(oracle: DensityOracle, p: RieszParams,
         x0 = initial_point(oracle)
     else:
         x0 = np.atleast_1d(np.asarray(initial, dtype=float))
+        if x0.shape != (oracle.dim,):
+            raise ValueError(f"initial has shape {x0.shape}, the oracle's "
+                             f"points have {oracle.dim} coordinates")
     n, d = cfg.n_points, oracle.dim
     points = np.empty((n, d))
     kappas = np.empty(n)

@@ -16,6 +16,7 @@ import rieszmc
 from rieszmc import RieszProposalSet
 from rieszmc.cli import (
     _RUNNERS,
+    DEFAULTS,
     bundled_prices_path,
     format_float,
     load_config,
@@ -361,6 +362,9 @@ class TestMain:
         ("pmh-lgss", {"prior": {"std": -0.5}, "iterations": 5, "T": 5}),
         ("pmh-sv", {"priors": {"mu": [0.0, 0.0]}, "iterations": 5}),
         ("filter-lgss", {"n_seeds": 0}),
+        ("filter-lgss", {"model": {"sigma_v": 1e300}}),
+        ("filter-lgss", {"model": {"sigma_o": 1e300}}),
+        ("filter-lgss", {"n_seeds": 1e300}),
     ])
     def test_invalid_option_values_exit_2(self, tmp_path, capsys,
                                           experiment, options):
@@ -414,6 +418,18 @@ class TestMain:
                           output_dir=tmp_path / "out")
         with pytest.raises(ConfigError, match=key):
             _RUNNERS[experiment](cfg)
+
+    def test_diagnostics_on_a_uniform_box(self, tmp_path):
+        path = _write(tmp_path, "c.json", json.dumps(
+            {"target": "uniform", "box": [2.0, 5.0], "n_values": [10]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnostics", "--config", str(path),
+                  "--output", str(tmp_path / "out")])
+        assert exc.value.code == 0
+        assert (tmp_path / "out" / "results.csv").is_file()
+        qq = np.loadtxt(tmp_path / "out" / "plotdata" / "qq.csv",
+                        delimiter=",", skiprows=1)
+        assert np.all((qq[:, 1:] >= 2.0) & (qq[:, 1:] <= 5.0))
 
     def test_success_run(self, tmp_path):
         cfg_path = _write(tmp_path, "c.json",
@@ -491,6 +507,61 @@ def test_seeded_outputs_are_pinned(tmp_path, experiment):
     got = {f.relative_to(out).as_posix():
            hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
     assert got == want
+
+
+_FUZZ_BASE = {"n_points": 10, "n_values": [10], "T": 5, "iterations": 5,
+              "n_particles": 10, "n_riesz": 10}
+_FUZZ_STRINGS = ("normal", "uniform", "random", "modulo", "multinomial",
+                 "systematic")
+
+
+def _leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,), value
+
+
+def _fuzz_values(default):
+    if isinstance(default, bool):
+        return [not default]
+    if isinstance(default, str):
+        return list(_FUZZ_STRINGS)
+    if isinstance(default, list):
+        return [[0], [-1], default * 2]
+    return [0, -1, 1, 1e300]  # numbers, and the null default of burn_in
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # from absurd values
+def test_config_fuzz_ends_in_an_exit_code(tmp_path):
+    """Every leaf key of every subcommand, set to a small, negative, huge or
+    other-choice value on a tiny config, ends in exit 0, 2, 3 or 4."""
+    failures = []
+    for experiment, defaults in sorted(DEFAULTS.items()):
+        for path, default in _leaves(defaults):
+            for value in _fuzz_values(default):
+                options = {key: v for key, v in _FUZZ_BASE.items()
+                           if key in defaults}
+                node = options
+                for key in path[:-1]:
+                    node = node.setdefault(key, {})
+                node[path[-1]] = value
+                case = (experiment, ".".join(path), value)
+                try:
+                    cfg = load_config(experiment, _write(
+                        tmp_path, "c.json", json.dumps(options)),
+                        output_dir=tmp_path / "out")
+                except ConfigError:
+                    continue
+                try:
+                    code = run_experiment(cfg)
+                except Exception as exc:  # reported with its case below
+                    failures.append((*case, repr(exc)))
+                    continue
+                if code not in (0, 2, 3, 4):
+                    failures.append((*case, code))
+    assert failures == []
 
 
 def test_import_loads_no_heavy_scipy_subpackage():

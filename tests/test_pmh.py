@@ -7,7 +7,6 @@ import pytest
 from scipy.stats import norm
 
 from rieszmc import (
-    ChainState,
     IndependentPrior,
     LgssParams,
     LgssPhiFamily,
@@ -16,13 +15,11 @@ from rieszmc import (
     RieszProposalSet,
     SamplerConfig,
     TruncatedGaussianPrior,
-    acceptance_log_ratio,
     acf,
     kalman_filter,
     lgss_simulate,
     pmh_run,
     posterior_summary,
-    propose_theta,
     run_filter,
 )
 from rieszmc.errors import AllWeightsZero, NumericalError
@@ -50,43 +47,91 @@ class _FlatPrior:
         return 0.0
 
 
+def _recording_chain(loglik, prior, steps, theta0, iterations, seed):
+    """A pmh_run chain on ``loglik(theta)`` with every likelihood call
+    recorded: calls[0] is theta0 and calls[j] the j-th proposal that
+    reached the likelihood."""
+    calls = []
+
+    def loglik_fn(theta, rng):
+        calls.append(theta.copy())
+        return loglik(theta)
+
+    cfg = PmhConfig(iterations=iterations, burn_in=0, step_sizes=steps,
+                    n_particles=1, n_riesz=2, seed=seed)
+    chain = pmh_run(None, np.zeros(1), prior, cfg, theta0=theta0,
+                    loglik_fn=loglik_fn)
+    return chain, np.array(calls)
+
+
 class TestProposeTheta:
+    """The chain's Gaussian random-walk proposal, seen through pmh_run on a
+    flat target, where every proposal is accepted."""
+
     def test_zero_step_returns_theta(self):
-        rng = np.random.default_rng(0)
-        theta = np.array([0.4, -1.2])
-        got = propose_theta(theta, np.zeros(2), rng)
-        assert np.array_equal(got, theta)
+        # a zero step holds its coordinate while the other one moves
+        chain, _ = _recording_chain(lambda theta: 0.0, _FlatPrior(),
+                                    [0.0, 0.5], [0.4, -1.2], 200, 0)
+        assert np.all(chain.samples[:, 0] == 0.4)
+        assert np.unique(chain.samples[:, 1]).size == 200
 
     def test_step_moment(self):
-        rng = np.random.default_rng(1)
-        draws = np.array([propose_theta(np.zeros(2), [0.1, 0.3], rng)
-                          for _ in range(100_000)])
-        assert draws[:, 0].std() == pytest.approx(0.1, rel=0.01)
-        assert draws[:, 1].std() == pytest.approx(0.3, rel=0.01)
-        assert abs(draws.mean()) < 0.005
+        chain, _ = _recording_chain(lambda theta: 0.0, _FlatPrior(),
+                                    [0.1, 0.3], [0.0, 0.0], 100_000, 1)
+        assert chain.accepted.all()
+        steps = np.diff(chain.samples, axis=0)
+        assert steps[:, 0].std() == pytest.approx(0.1, rel=0.01)
+        assert steps[:, 1].std() == pytest.approx(0.3, rel=0.01)
+        assert abs(steps.mean()) < 0.005
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            propose_theta(np.zeros(2), np.zeros(3),
-                          np.random.default_rng(2))
+        cfg = PmhConfig(iterations=5, burn_in=0, step_sizes=np.zeros(3),
+                        n_particles=1, n_riesz=2, seed=2)
+        calls = []
+        with pytest.raises(ValueError, match="step_sizes shape"):
+            pmh_run(None, np.zeros(1), _FlatPrior(), cfg, theta0=np.zeros(2),
+                    loglik_fn=lambda theta, rng: calls.append(theta))
+        assert calls == []  # refused before any likelihood evaluation
 
 
 class TestAcceptanceLogRatio:
+    """Acceptance by log p-hat + log prior, seen through pmh_run."""
+
     def test_identity_is_zero(self):
-        s = ChainState(np.array([0.5]), -10.0, -1.0)
-        assert acceptance_log_ratio(s, s) == 0.0
+        # equal likelihood and prior give a log ratio of 0: always accepted
+        chain, calls = _recording_chain(lambda theta: -10.0, _FlatPrior(),
+                                        [0.2], [0.5], 500, 3)
+        assert chain.acceptance_rate == 1.0
+        assert np.array_equal(chain.samples, calls[1:])
+        assert np.all(chain.log_liks == -10.0)
 
     def test_uphill_move_is_certain(self):
-        cur = ChainState(np.array([0.5]), -10.0, -1.0)
-        prop = ChainState(np.array([0.6]), -9.0, -1.0)
-        ratio = acceptance_log_ratio(cur, prop)
-        assert ratio == pytest.approx(1.0)
-        assert min(1.0, math.exp(ratio)) == 1.0
+        # every proposal reaches the likelihood (flat prior), so calls[it + 1]
+        # is the proposal of iteration it
+        chain, calls = _recording_chain(lambda theta: -8.0 * theta[0] ** 2,
+                                        _FlatPrior(), [1.0], [2.0], 2000, 4)
+        current = np.concatenate(([2.0], chain.samples[:-1, 0]))
+        uphill = np.abs(calls[1:, 0]) <= np.abs(current)
+        assert uphill.any() and not uphill.all()
+        assert chain.accepted[uphill].all()
+        assert not chain.accepted[~uphill].all()
+        assert np.array_equal(chain.samples[chain.accepted, 0],
+                              calls[1:, 0][chain.accepted])
+        assert np.array_equal(chain.log_liks, -8.0 * chain.samples[:, 0] ** 2)
 
     def test_invalid_prior_forces_rejection(self):
-        cur = ChainState(np.array([0.5]), -10.0, -1.0)
-        prop = ChainState(np.array([1.5]), -5.0, -np.inf)
-        assert acceptance_log_ratio(cur, prop) == -np.inf
+        # the likelihood climbs towards phi = 1 and beyond; the prior's
+        # support (-1, 1) still rejects every proposal past it, without a
+        # likelihood evaluation
+        chain, calls = _recording_chain(lambda theta: 50.0 * theta[0],
+                                        LgssPhiFamily.default_prior(),
+                                        [0.05], [0.5], 1000, 5)
+        assert np.all(np.abs(calls[:, 0]) < 1.0)
+        assert np.all(chain.samples < 1.0)
+        assert chain.samples.max() > 0.95
+        skipped = 1000 - (len(calls) - 1)
+        assert skipped > 0
+        assert (~chain.accepted).sum() >= skipped
 
     def test_exact_gaussian_target_chain_moments(self):
         # MH with an exact "likelihood" N(3, 0.7^2) and a flat prior must

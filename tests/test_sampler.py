@@ -474,6 +474,15 @@ class TestGenerateConfiguration:
         assert report.configuration.points.shape == (10, 2)
         assert min_separation(report.configuration) > 0.05
 
+    @pytest.mark.parametrize("initial", [[0.3], [0.3, 0.2, 0.1]])
+    def test_initial_of_the_wrong_length_is_rejected(self, initial):
+        # [0.3] used to be broadcast to (0.3, 0.3) on the unit square
+        box = DensityOracle.uniform_box([0.0, 0.0], [1.0, 1.0])
+        cfg = SamplerConfig(n_points=10, seed=5, candidate_count=128)
+        with pytest.raises(ValueError, match="2 coordinates"):
+            generate_configuration(box, RieszParams(s=10.0, d=2), cfg,
+                                   initial=initial)
+
     def test_separation_product_bounded_below(self):
         # min_separation * n^(1/d + 2/s) stays bounded below as n grows
         products = []
